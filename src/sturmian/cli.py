@@ -52,6 +52,16 @@ _EXPECTED = {
 
 _STAT_INDEX = {"max-length": 0, "max-period": 1, "max-bcount": 2}
 
+# The parsed arguments an error record keeps as its inputs: those that the
+# command's ok-records show.
+_INPUT_ARGS = {
+    "psi": ("directive",),
+    "stream": ("spec", "prefix_len"),
+    "christoffel": ("p", "q"),
+    "verify": ("theorem", "mode"),
+    "arith": ("operation", "payload"),
+}
+
 
 @dataclass
 class OutputRecord:
@@ -479,10 +489,14 @@ def main(argv=None) -> int:
             config.set_max_word_len(args.max_word_len)
         code = args.func(args, em)
     except (SturmianError, ValueError) as exc:
+        inputs = {
+            key: _display_word(str(getattr(args, key)), args.full)
+            for key in _INPUT_ARGS[args.command]
+        }
         em.emit(
             OutputRecord(
                 args.command,
-                {},
+                inputs,
                 {"message": str(exc)},
                 status="error",
                 error_kind=type(exc).__name__,

@@ -12,7 +12,7 @@ from .errors import (
     SturmianError,
 )
 from .palindromization import directive_word_of, p_x, psi
-from .words import Word, check_word, is_lyndon
+from .words import Word, check_word
 
 
 def is_central(w: Word) -> bool:
@@ -187,6 +187,9 @@ class ChristoffelFactorization:
 def christoffel_factorize(w: Word) -> ChristoffelFactorization:
     """Factor a non-letter Christoffel word; w2 is its longest proper Lyndon suffix.
 
+    The split falls at |w1| = |w|_b^(-1) mod |w| (Berstel, Lauve, Reutenauer
+    and Saliola 2008); both factors are then validated by regeneration.
+
     >>> christoffel_factorize("aaabaabaaabaabaab").w1
     'aaabaab'
     """
@@ -196,21 +199,13 @@ def christoffel_factorize(w: Word) -> ChristoffelFactorization:
     if not is_christoffel(w):
         raise NotChristoffelError(f"not a Christoffel word: {w[:40]!r}")
     n = len(w)
-    split = 0
-    for i in range(1, n):
-        if is_lyndon(w[i:]):
-            split = i
-            break
-    w1, w2 = w[:split], w[split:]
-    # Validate both factors and cross-check the split against the
-    # independently computed modular-inverse lengths.
     nb = w.count("b")
-    na = n - nb
     p_inv = pow(nb, -1, n)
-    q_inv = pow(na, -1, n)
+    q_inv = pow(n - nb, -1, n)
+    w1, w2 = w[:p_inv], w[p_inv:]
     if not (is_christoffel(w1) and is_christoffel(w2) and w1 < w2):
         raise SturmianError(f"factor validation failed for {w[:40]!r}")
-    if len(w1) != p_inv or len(w2) != q_inv:
+    if len(w2) != q_inv:
         raise SturmianError(f"modular length cross-check failed for {w[:40]!r}")
     return ChristoffelFactorization(w, w1, w2, p_inv, q_inv)
 

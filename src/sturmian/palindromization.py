@@ -1,13 +1,18 @@
 """Iterated palindromic closure and its companions.
 
 The map psi sends a finite directive word to the palindrome obtained by
-closing after each letter; its images are exactly the central words.  The
-morphism route (mu) produces the same words by substitution and is kept
-strictly separate so the two can cross-check each other.
+closing after each letter; its images are exactly the central words.  psi
+and the streams build them by Justin's formula psi(vx) = mu_v(x) psi(v),
+which needs no closure at all; palindromic_closure stays the definitional
+construction that justin_check compares against.  The morphism route (mu)
+produces the same words by substitution and is kept strictly separate so
+the routes can cross-check each other.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from . import _kernels
 from .config import ensure_materializable
@@ -19,6 +24,8 @@ _EXCHANGE = str.maketrans("ab", "ba")
 # Above this directive length p_x stops materializing morphism images and
 # switches to the continuant evaluation.
 _P_X_MATERIALIZE_MAX = 64
+
+_RUN = re.compile("a+|b+")
 
 
 def palindromic_closure(w: Word) -> Word:
@@ -34,33 +41,63 @@ def palindromic_closure(w: Word) -> Word:
     return w + head[::-1]
 
 
+def _justin(v: Word, capped: bool = True) -> tuple[Word, Word, Word]:
+    """(psi(v), mu_v(a), mu_v(b)), grown from ("", "a", "b") by Justin's step.
+
+    The step for a letter x prepends mu_u(x) to the image and to the other
+    letter's morphism image.  Along a run of k letters x, mu_u(x) does not
+    change, so the whole run costs one prepend of mu_u(x) * k to each.  With
+    capped, each run's projected image length is checked first, so the cap
+    is hit exactly when |psi(v)| exceeds it.
+    """
+    w, ma, mb = "", "a", "b"
+    for run in _RUN.finditer(v):
+        i, j = run.span()
+        m = ma if v[i] == "a" else mb
+        if capped:
+            ensure_materializable(len(w) + (j - i) * len(m))
+        block = m * (j - i)
+        w = block + w
+        if v[i] == "a":
+            mb = block + mb
+        else:
+            ma = block + ma
+    return w, ma, mb
+
+
 def psi(v: Word) -> Word:
-    """Iterated palindromic closure directed by v.
+    """Iterated palindromic closure directed by v, built by Justin's formula.
 
     >>> psi("abba")
     'ababaababa'
     """
     check_word(v)
-    w = ""
-    for x in v:
-        w = palindromic_closure(w + x)
-    return w
+    return _justin(v)[0]
 
 
 def directive_word_of(w: Word) -> Word:
     """Inverse of psi: the letters following each proper palindromic prefix.
 
-    Raises NotCentralError when w is not an image of psi (the extracted
-    candidate is validated by a full round trip).
+    If w = psi(v), the palindromic prefixes of w are the images of the
+    prefixes of v, and their lengths follow |psi(ux)| = |psi(u)| + |mu_u(x)|
+    with |mu_ux(y)| = |mu_u(y)| + |mu_u(x)| for y != x.  One pass reads the
+    candidate directive off w along these lengths.  Raises NotCentralError
+    when the lengths overshoot |w| or the candidate's image differs from w.
+    The round trip builds exactly |w| letters, which the caller already
+    holds, so it is exempt from the materialization cap.
     """
     check_word(w)
     letters = []
-    for i in range(len(w)):
-        head = w[:i]
-        if head == head[::-1]:
-            letters.append(w[i])
+    n, la, lb = 0, 1, 1
+    while n < len(w):
+        x = w[n]
+        letters.append(x)
+        if x == "a":
+            n, lb = n + la, lb + la
+        else:
+            n, la = n + lb, la + lb
     v = "".join(letters)
-    if psi(v) != w:
+    if n != len(w) or _justin(v, capped=False)[0] != w:
         raise NotCentralError(f"not an iterated-closure image: {w[:40]!r}...")
     return v
 
@@ -105,8 +142,12 @@ def p_x(v: Word, x: str) -> int:
 
 
 def justin_check(v: Word, u: Word) -> bool:
-    """Evaluate psi(v + u) and mu(v, psi(u)) + psi(v) independently; True iff equal."""
-    return psi(v + u) == mu(v, psi(u)) + psi(v)
+    """Evaluate psi(v + u) by iterated closure and mu(v, psi(u)) + psi(v) by
+    substitution; True iff equal."""
+    w = ""
+    for x in v + u:
+        w = palindromic_closure(w + x)
+    return w == mu(v, psi(u)) + psi(v)
 
 
 def exchange_E(w: Word) -> Word:
@@ -202,21 +243,63 @@ def psi_stream(spec: DirectiveSpec) -> PsiStream:
 
 
 def psi_stream_advance(s: PsiStream, steps: int) -> PsiStream:
-    """Consume `steps` further directive letters, one closure per letter."""
+    """Consume `steps` further directive letters; the image is rebuilt by Justin's step."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    w = s.current
-    for i in range(s.emitted, s.emitted + steps):
-        w = palindromic_closure(w + s.spec.letter(i))
-    return PsiStream(s.spec, s.emitted + steps, w)
+    emitted = s.emitted + steps
+    return PsiStream(s.spec, emitted, _justin(s.spec.prefix(emitted))[0])
+
+
+def _spec_runs(spec: DirectiveSpec):
+    """Maximal runs (letter, count) of the infinite directive; count None marks
+    the endless run of a one-letter period."""
+    if len(set(spec.period)) == 1:
+        x = spec.period[0]
+        head = spec.preperiod.rstrip(x)
+        for run in _RUN.finditer(head):
+            yield head[run.start()], run.end() - run.start()
+        yield x, None
+        return
+    # Both letters occur in the period, so a run never outlasts two chunks.
+    pending, count = "", 0
+    for chunk in chain((spec.preperiod,), repeat(spec.period)):
+        for run in _RUN.finditer(chunk):
+            x, k = chunk[run.start()], run.end() - run.start()
+            if x == pending:
+                count += k
+            else:
+                if count:
+                    yield pending, count
+                pending, count = x, k
 
 
 def stream_prefix(spec: DirectiveSpec, prefix_len: int) -> Word:
-    """First prefix_len letters of the infinite closure image of spec."""
+    """First prefix_len letters of the infinite closure image of spec.
+
+    The length recurrence of Justin's step finds the shortest directive
+    prefix ux whose image has at least prefix_len letters, without building
+    anything.  Then psi(ux) = mu_u(x) psi(u) with |psi(u)| < prefix_len and
+    |mu_u(x)| <= |psi(u)| + 1, so only psi(u) and the first prefix_len
+    letters are built.
+    """
     if prefix_len < 0:
         raise ValueError("prefix_len must be >= 0")
     ensure_materializable(prefix_len)
-    s = psi_stream(spec)
-    while len(s.current) < prefix_len:
-        s = psi_stream_advance(s, 1)
-    return s.current[:prefix_len]
+    if prefix_len == 0:
+        return ""
+    length, la, lb, used = 0, 1, 1, 0
+    for x, k in _spec_runs(spec):
+        lx = la if x == "a" else lb
+        need = -(-(prefix_len - length) // lx)  # letters x until the image is long enough
+        if k is None or need <= k:
+            used += need - 1
+            break
+        used += k
+        length += k * lx
+        if x == "a":
+            lb += k * lx
+        else:
+            la += k * lx
+    w, ma, mb = _justin(spec.prefix(used))
+    head = ma if spec.letter(used) == "a" else mb
+    return head + w[: prefix_len - len(head)]

@@ -42,13 +42,16 @@ _PSI12 = None
 
 
 def psi_cache():
-    """Closure images for every |v| <= 12, built once through psi itself."""
+    """Closure images for every |v| <= 12, built once by the definitional
+    closure in tests/naive.py and checked against psi on every entry."""
     global _PSI12
     if _PSI12 is None:
         table = {}
         for n in range(13):
             for v in naive.all_words(n):
-                table[v] = psi(v)
+                table[v] = naive.psi_naive(v)
+        mismatched = [v for v, w in table.items() if psi(v) != w]
+        assert not mismatched, f"psi differs from the naive closure on {mismatched[:5]}"
         _PSI12 = table
     return _PSI12
 
@@ -213,14 +216,17 @@ def test_criterion_06_christoffel_factorization():
                     for i in range(1, n)
                     if is_christoffel(w[:i]) and is_christoffel(w[i:])
                 ]
-                ok = splits == [len(fac.w1)]
+                # w2 is the longest proper Lyndon suffix.
+                lyndon = next(i for i in range(1, n) if naive.is_lyndon_naive(w[i:]))
+                ok = splits == [len(fac.w1)] == [lyndon]
             if not ok:
                 failures += 1
     report(
         6,
         failures == 0,
         f"Lyndon factorization on {pairs} coprime pairs with p+q<=200 "
-        f"(uniqueness verified for p+q<=60): {failures} failures",
+        f"(uniqueness and the longest Lyndon suffix verified for p+q<=60): "
+        f"{failures} failures",
     )
 
 

@@ -62,6 +62,7 @@ def test_psi_rejects_bad_letters(capsys):
     assert code == 2
     assert recs[0]["status"] == "error"
     assert recs[0]["error_kind"] == "ValueError"
+    assert recs[0]["inputs"] == {"directive": "abc"}
     assert "message" in recs[0]["result"]
 
 
@@ -263,6 +264,7 @@ def test_tsv_error_record(capsys):
     assert code == 2
     assert rows[0]["status"] == "error"
     assert rows[0]["error_kind"] == "ValueError"
+    assert (rows[0]["inputs.p"], rows[0]["inputs.q"]) == ("2", "4")
 
 
 def test_elision_and_full(capsys):
@@ -282,6 +284,7 @@ def test_max_word_len_flag(capsys):
     code, recs = run_json(capsys, "stream", "|ab", "100", "--max-word-len", "20")
     assert code == 2
     assert recs[0]["error_kind"] == "MaterializationLimitError"
+    assert recs[0]["inputs"] == {"spec": "|ab", "prefix_len": "100"}
     # The override must not leak into the process after the invocation.
     assert config._override is None
     if "STURMIAN_MAX_WORD_LEN" not in os.environ:

@@ -15,6 +15,7 @@ from sturmian import (
     exchange_E,
     fibonacci,
     fibonacci_directive_prefix,
+    is_central,
     justin_check,
     minimal_period,
     mu,
@@ -354,6 +355,84 @@ def test_stream_prefixes_nest():
     long = stream_prefix(spec, 150)
     for k in (0, 1, 17, 80, 149):
         assert long.startswith(stream_prefix(spec, k))
+
+
+STREAM_SPECS = ("|ab", "abb|ab", "|a", "|b", "bba|ba", "ab|a", "aab|b", "b|aab", "|abbba", "aaa|a")
+
+
+def test_stream_prefix_matches_naive():
+    for text in STREAM_SPECS:
+        spec = DirectiveSpec.parse(text)
+        ref = naive.psi_naive(spec.prefix(12))
+        for n in range(min(len(ref), 150) + 1):
+            assert stream_prefix(spec, n) == ref[:n], (text, n)
+    assert stream_prefix(DirectiveSpec.parse("|a"), 5000) == "a" * 5000
+
+
+def test_stream_prefix_within_cap():
+    # psi of the first 6 alternating letters has 32 letters and of the first
+    # 7 has 53: a 33-letter prefix fits a cap of 50 and must not build psi(7).
+    fib = DirectiveSpec.parse("|ab")
+    saved = config._override
+    try:
+        config.set_max_word_len(50)
+        assert stream_prefix(fib, 33) == naive.psi_naive("abababa")[:33]
+        assert stream_prefix(fib, 50) == naive.psi_naive("abababa")[:50]
+        assert stream_prefix(DirectiveSpec.parse("|a"), 50) == "a" * 50
+        with pytest.raises(MaterializationLimitError):
+            stream_prefix(fib, 51)
+    finally:
+        config._override = saved
+
+
+def test_psi_cap_is_exact():
+    saved = config._override
+    try:
+        config.set_max_word_len(50)
+        for v in naive.words_upto(8):
+            w = naive.psi_naive(v)
+            if len(w) > 50:
+                with pytest.raises(MaterializationLimitError):
+                    psi(v)
+            else:
+                assert psi(v) == w
+    finally:
+        config._override = saved
+
+
+def test_directive_extraction_ignores_cap():
+    # A central word longer than the cap still decodes.  A palindrome that
+    # agrees with it on every letter the length recurrence reads is refused
+    # by the round trip, as non-central and never as too long.
+    rng = random.Random(5)
+    saved = config._override
+    try:
+        config.set_max_word_len(50)
+        for v in ("abababa", "abbabbab", "aabaabba", "bbabababa", "a" * 60):
+            w = naive.psi_naive(v)
+            assert len(w) > 50
+            assert directive_word_of(w) == v and is_central(w)
+            read = {len(naive.psi_naive(v[:k])) for k in range(len(v))}
+            free = [i for i in range(len(w)) if i not in read and len(w) - 1 - i not in read]
+            for i in rng.sample(free, min(len(free), 8)):
+                chars = list(w)
+                for j in {i, len(w) - 1 - i}:
+                    chars[j] = "b" if chars[j] == "a" else "a"
+                fake = "".join(chars)
+                with pytest.raises(NotCentralError):
+                    directive_word_of(fake)
+                assert not is_central(fake)
+        for _ in range(600):
+            half = "".join(rng.choice("ab") for _ in range(rng.randint(26, 31)))
+            fake = half + half[::-1][rng.randint(0, 1) :]
+            try:
+                v = directive_word_of(fake)
+            except NotCentralError:
+                assert not is_central(fake)
+            else:
+                assert naive.psi_naive(v) == fake and is_central(fake)
+    finally:
+        config._override = saved
 
 
 def test_materialization_cap():
