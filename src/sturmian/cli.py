@@ -9,48 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from dataclasses import dataclass, field
 
 from . import arithmetic, config, families, oracle, palindromization, words
 from .errors import SturmianError
+from .oracle import _fmt_rep
 
 _ELIDE_AT = 120
-
-_DEFAULT_NMAX = {
-    "max-length": 14,
-    "max-period": 14,
-    "max-bcount": 14,
-    "continuant-max": 20,
-    "period-continuant-max": 20,
-    "fib-lemma": 60,
-    "harmonic": 20,
-    "central-count": 14,
-    "streams": 14,
-}
-
-_MIN_ORDER = {
-    "max-length": 0,
-    "max-period": 1,
-    "max-bcount": 1,
-    "continuant-max": 0,
-    "period-continuant-max": 2,
-}
-
-_WORD_VERIFIERS = {
-    "max-length": oracle.verify_max_length,
-    "max-period": oracle.verify_max_period,
-    "max-bcount": oracle.verify_max_bcount,
-}
-
-_EXPECTED = {
-    "max-length": oracle.expected_max_length,
-    "max-period": oracle.expected_max_period,
-    "max-bcount": oracle.expected_max_bcount,
-}
-
-_STAT_INDEX = {"max-length": 0, "max-period": 1, "max-bcount": 2}
 
 # The parsed arguments an error record keeps as its inputs: those that the
 # command's ok-records show.
@@ -122,14 +88,6 @@ def _display_word(w: str, full: bool) -> str:
     if full or len(w) <= _ELIDE_AT:
         return w
     return w[: _ELIDE_AT - 3] + "..."
-
-
-def _fmt_rep(rep) -> str:
-    return "[" + ",".join(str(x) for x in rep) + "]"
-
-
-def _fmt_bool(flag: bool) -> str:
-    return "true" if flag else "false"
 
 
 def _parse_int_list(payload: str) -> tuple[int, ...]:
@@ -229,174 +187,22 @@ def _cmd_arith(args, em: Emitter) -> int:
     return 0
 
 
-def _sampled_agreement(name: str, n: int, rng: random.Random, samples: int = 64) -> bool:
-    """Spot-check route agreement above the materialized bound: random directives
-    plus the expected argmax, each measured by string scan and by continuant."""
-    stat = _STAT_INDEX[name]
-    a_start = name == "max-bcount"
-    pool = set(_EXPECTED[name](n)[1])
-    want = samples + len(pool)
-    while len(pool) < want:
-        head = "a" if a_start else rng.choice("ab")
-        pool.add(head + "".join(rng.choice("ab") for _ in range(n - 1)))
-    for v in sorted(pool):
-        w = palindromization.psi(v)
-        if stat == 0:
-            mat = len(w)
-        elif stat == 1:
-            mat = words.minimal_period(w)
-        else:
-            mat = w.count("b")
-        if mat != arithmetic.psi_stats_from_directive(v)[stat]:
-            return False
-    return True
-
-
-def _word_theorem_rows(name: str, args, em: Emitter) -> bool:
-    verifier = _WORD_VERIFIERS[name]
-    n_max = args.n_max if args.n_max is not None else _DEFAULT_NMAX[name]
-    rng = random.Random(args.seed)
-    mat_cut = args.bound if args.bound is not None else config.MATERIALIZED_ORDER_BOUND
-    all_ok = True
-    for n in range(_MIN_ORDER[name], n_max + 1):
-        if args.mode == "both":
-            rep = verifier(n, "arithmetic", args.bound)
-            if n <= mat_cut:
-                other = verifier(n, "materialized", args.bound)
-                agree = rep.maximum == other.maximum and set(rep.argmax) == set(other.argmax)
-                check = "full"
-            else:
-                agree = _sampled_agreement(name, n, rng)
-                check = "sampled"
-        else:
-            rep = verifier(n, args.mode, args.bound)
-            agree, check = True, args.mode
-        ok = rep.passed and agree
-        all_ok = all_ok and ok
-        em.emit(
-            OutputRecord(
-                "verify",
-                {"theorem": name, "order": str(n), "mode": args.mode},
-                {
-                    "maximum": str(rep.maximum),
-                    "expected_max": str(rep.expected_max),
-                    "argmax": " ".join(rep.argmax),
-                    "expected_argmax": " ".join(rep.expected_argmax),
-                    "argmax_size": str(len(rep.argmax)),
-                    "check": check,
-                    "agreement": _fmt_bool(agree),
-                    "passed": _fmt_bool(ok),
-                },
-            )
-        )
-    return all_ok
-
-
-def _continuant_rows(name: str, args, em: Emitter) -> bool:
-    verifier = (
-        oracle.verify_continuant_max
-        if name == "continuant-max"
-        else oracle.verify_period_continuant_max
-    )
-    n_max = args.n_max if args.n_max is not None else _DEFAULT_NMAX[name]
-    all_ok = True
-    for n in range(_MIN_ORDER[name], n_max + 1):
-        rep = verifier(n, args.bound)
-        all_ok = all_ok and rep.passed
-        em.emit(
-            OutputRecord(
-                "verify",
-                {"theorem": name, "order": str(n), "mode": "arithmetic"},
-                {
-                    "maximum": str(rep.maximum),
-                    "expected_max": str(rep.expected_max),
-                    "argmax": " ".join(_fmt_rep(r) for r in rep.argmax),
-                    "expected_argmax": " ".join(_fmt_rep(r) for r in rep.expected_argmax),
-                    "argmax_size": str(len(rep.argmax)),
-                    "passed": _fmt_bool(rep.passed),
-                },
-            )
-        )
-    return all_ok
-
-
 def _cmd_verify(args, em: Emitter) -> int:
-    name = args.theorem
-    n_max = args.n_max if args.n_max is not None else _DEFAULT_NMAX[name]
-    if name in _WORD_VERIFIERS:
-        all_ok = _word_theorem_rows(name, args, em)
-    elif name in ("continuant-max", "period-continuant-max"):
-        all_ok = _continuant_rows(name, args, em)
-    elif name == "fib-lemma":
-        all_ok = True
-        for n in range(1, n_max + 1):
-            ok = oracle.fib_lemma_holds_at(n)
-            all_ok = all_ok and ok
-            em.emit(
-                OutputRecord(
-                    "verify",
-                    {"theorem": name, "order": str(n), "mode": "arithmetic"},
-                    {"passed": _fmt_bool(ok)},
-                )
-            )
-    elif name == "harmonic":
-        all_ok = True
-        for n in range(1, n_max + 1):
-            period, modulus, residue, ok = oracle.harmonic_at(n)
-            all_ok = all_ok and ok
-            em.emit(
-                OutputRecord(
-                    "verify",
-                    {"theorem": name, "order": str(n), "mode": "arithmetic"},
-                    {
-                        "period": str(period),
-                        "modulus": str(modulus),
-                        "residue": str(residue),
-                        "passed": _fmt_bool(ok),
-                    },
-                )
-            )
-    elif name == "central-count":
-        from .families import count_central
-
-        census = oracle.central_length_census(n_max, bound=args.bound if args.bound else 16)
-        all_ok = True
-        for k in range(n_max + 1):
-            expected = count_central(k)
-            ok = census[k] == expected
-            all_ok = all_ok and ok
-            em.emit(
-                OutputRecord(
-                    "verify",
-                    {"theorem": name, "length": str(k), "mode": "census"},
-                    {
-                        "count": str(census[k]),
-                        "expected": str(expected),
-                        "passed": _fmt_bool(ok),
-                    },
-                )
-            )
-    else:  # streams
-        rows = oracle.stream_rows(n_max, args.mode, args.bound)
-        all_ok = True
-        for row in rows:
-            all_ok = all_ok and bool(row["passed"])
-            em.emit(
-                OutputRecord(
-                    "verify",
-                    {"theorem": name, "order": str(row["order"]), "mode": args.mode},
-                    {
-                        "length": str(row["length"]),
-                        "length_ok": _fmt_bool(bool(row["length_ok"])),
-                        "period": str(row["period"]),
-                        "period_ok": _fmt_bool(bool(row["period_ok"])),
-                        "bcount": "-" if row["bcount"] is None else str(row["bcount"]),
-                        "bcount_ok": _fmt_bool(bool(row["bcount_ok"])),
-                        "passed": _fmt_bool(bool(row["passed"])),
-                    },
-                )
-            )
-    return 0 if all_ok else 1
+    name, mode = args.theorem, args.mode
+    theorem = oracle.THEOREMS[name]
+    n_max = theorem.default_n_max if args.n_max is None else args.n_max
+    if n_max < theorem.first:
+        raise ValueError(f"{name} starts at order {theorem.first}: --n-max {n_max} checks nothing")
+    if mode not in theorem.modes:
+        raise ValueError(f"{name} takes --mode {' or '.join(theorem.modes)}, not {mode}")
+    if args.bound is not None and not theorem.bounded:
+        raise ValueError(f"{name} enumerates nothing, so it takes no --bound")
+    orders = range(theorem.first, n_max + 1)
+    code = 0
+    for inputs, result in theorem.rows(orders, mode, args.bound, args.seed):
+        em.emit(OutputRecord("verify", {"theorem": name, **inputs}, result))
+        code |= result["passed"] != "true"
+    return code
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -443,17 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="run an exhaustive extremal verifier")
     p.add_argument(
         "theorem",
-        choices=(
-            "max-length",
-            "max-period",
-            "max-bcount",
-            "continuant-max",
-            "period-continuant-max",
-            "fib-lemma",
-            "harmonic",
-            "central-count",
-            "streams",
-        ),
+        choices=tuple(oracle.THEOREMS),
     )
     p.add_argument("--n-max", type=int, default=None, help="largest order to check")
     p.add_argument(

@@ -13,11 +13,13 @@ never builds a word.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import Iterator
+from functools import partial
+from typing import Callable, Iterator
 
 from . import _kernels
-from .arithmetic import IntRep, to_integral
+from .arithmetic import IntRep, psi_stats_from_directive, to_integral
 from .config import ARITHMETIC_ORDER_BOUND, MATERIALIZED_ORDER_BOUND
 from .errors import BoundExceededError
 from .palindromization import (
@@ -26,12 +28,14 @@ from .palindromization import (
     fibonacci_directive_prefix,
     op_c,
     op_d,
+    psi,
     psi_stream,
     psi_stream_advance,
 )
 from .words import Word, fibonacci, minimal_period
 
 MODES = ("materialized", "arithmetic")
+_ANY_MODE = MODES + ("both",)
 
 
 @dataclass(frozen=True)
@@ -65,22 +69,33 @@ def directive_images(n: int, a_start: bool = False) -> Iterator[tuple[Word, Word
         stack.append((v + "a", ma + w, ma, ma + mb))
 
 
+def _statistic(w: Word, stat: int) -> int:
+    """Statistic `stat` of an image read off the string: 0 its length, 1 its
+    minimal period, 2 its number of 'b' letters."""
+    if stat == 0:
+        return len(w)
+    if stat == 1:
+        return _kernels.min_period(w)
+    return w.count("b")
+
+
 def _materialized_scan(n: int, stat: int, a_start: bool) -> tuple[int, list[Word]]:
     """Maximum and argmax of a statistic over psi images, by direct string scans."""
     best = -1
     arg: list[Word] = []
     for v, w in directive_images(n, a_start):
-        if stat == 0:
-            val = len(w)
-        elif stat == 1:
-            val = _kernels.min_period(w)
-        else:
-            val = w.count("b")
+        val = _statistic(w, stat)
         if val > best:
             best, arg = val, [v]
         elif val == best:
             arg.append(v)
     return best, sorted(arg)
+
+
+def _check_order(name: str, n: int, label: str = "n") -> None:
+    first = THEOREMS[name].first
+    if n < first:
+        raise ValueError(f"{label} must be >= {first}")
 
 
 def _check_mode(mode: str) -> None:
@@ -129,37 +144,30 @@ def expected_max_bcount(n: int) -> tuple[int, list[Word]]:
     return fibonacci(n - 1) - 1, sorted(u for u in cand if u.startswith("a"))
 
 
-def verify_max_length(n: int, mode: str = "arithmetic", bound: int | None = None) -> ExtremalReport:
-    """Scan every directive word of length n for the longest closure image."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+def _verify_word(
+    name: str, stat: int, expected, n: int, mode: str, bound: int | None
+) -> ExtremalReport:
+    _check_order(name, n)
     _check_mode(mode)
     _check_bound(n, mode, bound)
-    got_max, got_arg = _scan(n, 0, False, mode)
-    exp_max, exp_arg = expected_max_length(n)
-    return _make_report(n, got_max, got_arg, exp_max, exp_arg)
+    # The b-count law is stated over 'a'-leading directives only.
+    got_max, got_arg = _scan(n, stat, stat == 2, mode)
+    return _make_report(n, got_max, got_arg, *expected(n))
+
+
+def verify_max_length(n: int, mode: str = "arithmetic", bound: int | None = None) -> ExtremalReport:
+    """Scan every directive word of length n for the longest closure image."""
+    return _verify_word("max-length", 0, expected_max_length, n, mode, bound)
 
 
 def verify_max_period(n: int, mode: str = "arithmetic", bound: int | None = None) -> ExtremalReport:
     """Scan every directive word of length n for the largest minimal period."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_mode(mode)
-    _check_bound(n, mode, bound)
-    got_max, got_arg = _scan(n, 1, False, mode)
-    exp_max, exp_arg = expected_max_period(n)
-    return _make_report(n, got_max, got_arg, exp_max, exp_arg)
+    return _verify_word("max-period", 1, expected_max_period, n, mode, bound)
 
 
 def verify_max_bcount(n: int, mode: str = "arithmetic", bound: int | None = None) -> ExtremalReport:
     """Scan every 'a'-leading directive word of length n for the most 'b' letters."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_mode(mode)
-    _check_bound(n, mode, bound)
-    got_max, got_arg = _scan(n, 2, True, mode)
-    exp_max, exp_arg = expected_max_bcount(n)
-    return _make_report(n, got_max, got_arg, exp_max, exp_arg)
+    return _verify_word("max-bcount", 2, expected_max_bcount, n, mode, bound)
 
 
 def expected_continuant_max(n: int) -> tuple[int, list[IntRep]]:
@@ -177,11 +185,8 @@ def verify_continuant_max(n: int, bound: int | None = None) -> ExtremalReport:
     of length n (the empty word contributing (0,)), so the scan walks the
     directive tree.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    limit = ARITHMETIC_ORDER_BOUND if bound is None else bound
-    if n > limit:
-        raise BoundExceededError(f"weight {n} exceeds the enumeration bound {limit}")
+    _check_order("continuant-max", n)
+    _check_bound(n, "arithmetic", bound)
     raw_max, raw_arg = _kernels.arith_scan(n, 0, False)
     argmax = sorted(to_integral(v) if v else (0,) for v in raw_arg)
     exp_max, exp_arg = expected_continuant_max(n)
@@ -212,11 +217,8 @@ def period_continuant_equality_lists(n: int) -> list[IntRep]:
 
 def verify_period_continuant_max(n: int, bound: int | None = None) -> ExtremalReport:
     """Maximize the drop-last-then-shift-head continuant over exponent lists of weight n."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    limit = ARITHMETIC_ORDER_BOUND if bound is None else bound
-    if n > limit:
-        raise BoundExceededError(f"weight {n} exceeds the enumeration bound {limit}")
+    _check_order("period-continuant-max", n)
+    _check_bound(n, "arithmetic", bound)
     raw_max, raw_arg = _kernels.arith_scan(n, 1, False)
     argmax = sorted(to_integral(v) for v in raw_arg)
     exp_max, exp_arg = expected_period_continuant_max(n)
@@ -225,8 +227,7 @@ def verify_period_continuant_max(n: int, bound: int | None = None) -> ExtremalRe
 
 def fib_lemma_holds_at(n: int) -> bool:
     """x*F(n-x) + F(n-x+1) <= F(n+1) for 1 <= x <= n, with equality only at x = 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_order("fib-lemma", n)
     rhs = fibonacci(n + 1)
     for x in range(1, n + 1):
         lhs = x * fibonacci(n - x) + fibonacci(n - x + 1)
@@ -237,8 +238,7 @@ def fib_lemma_holds_at(n: int) -> bool:
 
 def verify_fib_lemma(n_max: int) -> bool:
     """The weighted Fibonacci bound at every order up to n_max."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    _check_order("fib-lemma", n_max, "n_max")
     return all(fib_lemma_holds_at(n) for n in range(1, n_max + 1))
 
 
@@ -247,8 +247,7 @@ def harmonic_at(n: int) -> tuple[int, int, int, bool]:
     is +-1 modulo its length + 2.  Evaluated by continuants only."""
     from .arithmetic import christoffel_length_from_directive, minimal_period_from_directive
 
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_order("harmonic", n)
     v = fibonacci_directive_prefix(n)
     period = minimal_period_from_directive(v)
     modulus = christoffel_length_from_directive(v)
@@ -258,8 +257,7 @@ def harmonic_at(n: int) -> tuple[int, int, int, bool]:
 
 def verify_harmonic_fibonacci(order_max: int) -> bool:
     """The +-1 square law at every order up to order_max."""
-    if order_max < 1:
-        raise ValueError("order_max must be >= 1")
+    _check_order("harmonic", order_max, "order_max")
     return all(harmonic_at(n)[3] for n in range(1, order_max + 1))
 
 
@@ -270,8 +268,7 @@ def central_length_census(n_max: int, bound: int = 16) -> dict[int, int]:
     only grow along a directive), and counts each image once: distinct
     directives give distinct images.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    _check_order("central-count", n_max, "n_max")
     if n_max > bound:
         raise BoundExceededError(f"census beyond length {bound} is unreasonably large")
     counts = [0] * (n_max + 1)
@@ -303,10 +300,9 @@ def stream_rows(
     b-count maximum from order 3 on; each must also sit in the enumerated
     argmax, and the enumeration itself must match the closed form.
     """
-    if order_max < 1:
-        raise ValueError("order_max must be >= 1")
-    if mode not in MODES + ("both",):
-        raise ValueError(f"mode must be one of {MODES + ('both',)}, got {mode!r}")
+    _check_order("streams", order_max, "order_max")
+    if mode not in _ANY_MODE:
+        raise ValueError(f"mode must be one of {_ANY_MODE}, got {mode!r}")
     sf = psi_stream(DirectiveSpec("", "ab"))
     sef = psi_stream(DirectiveSpec("", "ba"))
     sg = psi_stream(DirectiveSpec("abb", "ab"))
@@ -368,3 +364,160 @@ def verify_characteristic_extremal_streams(
 ) -> bool:
     """True iff every stream row up to order_max passes."""
     return all(bool(row["passed"]) for row in stream_rows(order_max, mode, bound))
+
+
+Row = tuple[dict[str, str], dict[str, str]]
+
+
+def _fmt_rep(rep) -> str:
+    return "[" + ",".join(str(x) for x in rep) + "]"
+
+
+def _fmt_bool(flag) -> str:
+    return "true" if flag else "false"
+
+
+def _report_fields(rep: ExtremalReport, fmt) -> dict[str, str]:
+    return {
+        "maximum": str(rep.maximum),
+        "expected_max": str(rep.expected_max),
+        "argmax": " ".join(fmt(x) for x in rep.argmax),
+        "expected_argmax": " ".join(fmt(x) for x in rep.expected_argmax),
+        "argmax_size": str(len(rep.argmax)),
+    }
+
+
+def _sampled_agreement(
+    n: int, stat: int, expected: tuple, rng: random.Random, samples: int = 64
+) -> bool:
+    """Spot-check route agreement above the materialized bound: random directives
+    plus the expected argmax, each measured by string scan and by continuant."""
+    pool = set(expected)
+    want = samples + len(pool)
+    while len(pool) < want:
+        head = "a" if stat == 2 else rng.choice("ab")
+        pool.add(head + "".join(rng.choice("ab") for _ in range(n - 1)))
+    return all(
+        _statistic(psi(v), stat) == psi_stats_from_directive(v)[stat] for v in sorted(pool)
+    )
+
+
+# The row functions look their verifier up by name on every call instead of
+# holding it: tracers and tests rebind this module's globals.
+
+
+def _word_rows(
+    verifier: str, stat: int, orders: range, mode: str, bound, seed: int
+) -> Iterator[Row]:
+    verify = globals()[verifier]
+    rng = random.Random(seed)
+    mat_cut = MATERIALIZED_ORDER_BOUND if bound is None else bound
+    for n in orders:
+        if mode != "both":
+            rep = verify(n, mode, bound)
+            agree, check = True, mode
+        elif n <= mat_cut:
+            rep, other = verify(n, "arithmetic", bound), verify(n, "materialized", bound)
+            agree = rep.maximum == other.maximum and set(rep.argmax) == set(other.argmax)
+            check = "full"
+        else:
+            rep = verify(n, "arithmetic", bound)
+            agree = _sampled_agreement(n, stat, rep.expected_argmax, rng)
+            check = "sampled"
+        yield {"order": str(n), "mode": mode}, {
+            **_report_fields(rep, str),
+            "check": check,
+            "agreement": _fmt_bool(agree),
+            "passed": _fmt_bool(rep.passed and agree),
+        }
+
+
+def _continuant_rows(verifier: str, orders: range, mode: str, bound, seed: int) -> Iterator[Row]:
+    verify = globals()[verifier]
+    for n in orders:
+        rep = verify(n, bound)
+        yield {"order": str(n), "mode": "arithmetic"}, {
+            **_report_fields(rep, _fmt_rep),
+            "passed": _fmt_bool(rep.passed),
+        }
+
+
+def _fib_lemma_rows(orders: range, mode: str, bound, seed: int) -> Iterator[Row]:
+    for n in orders:
+        yield {"order": str(n), "mode": "arithmetic"}, {"passed": _fmt_bool(fib_lemma_holds_at(n))}
+
+
+def _harmonic_rows(orders: range, mode: str, bound, seed: int) -> Iterator[Row]:
+    for n in orders:
+        period, modulus, residue, ok = harmonic_at(n)
+        yield {"order": str(n), "mode": "arithmetic"}, {
+            "period": str(period),
+            "modulus": str(modulus),
+            "residue": str(residue),
+            "passed": _fmt_bool(ok),
+        }
+
+
+def _census_rows(orders: range, mode: str, bound, seed: int) -> Iterator[Row]:
+    from .families import count_central
+
+    n_max = orders[-1]
+    census = central_length_census(n_max) if bound is None else central_length_census(n_max, bound)
+    for k in orders:
+        expected = count_central(k)
+        yield {"length": str(k), "mode": "census"}, {
+            "count": str(census[k]),
+            "expected": str(expected),
+            "passed": _fmt_bool(census[k] == expected),
+        }
+
+
+def _stream_table_rows(orders: range, mode: str, bound, seed: int) -> Iterator[Row]:
+    for row in stream_rows(orders[-1], mode, bound):
+        yield {"order": str(row["order"]), "mode": mode}, {
+            "length": str(row["length"]),
+            "length_ok": _fmt_bool(row["length_ok"]),
+            "period": str(row["period"]),
+            "period_ok": _fmt_bool(row["period_ok"]),
+            "bcount": "-" if row["bcount"] is None else str(row["bcount"]),
+            "bcount_ok": _fmt_bool(row["bcount_ok"]),
+            "passed": _fmt_bool(row["passed"]),
+        }
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """One `sturmian verify` theorem.
+
+    It checks the orders first..n_max (n_max defaults to default_n_max) and
+    accepts the --mode values in `modes`; `bounded` is False for a theorem
+    that enumerates nothing and so takes no --bound.  rows(orders, mode,
+    bound, seed) yields the inputs and result fields of one record per
+    order, with result["passed"] "true" or "false".
+    """
+
+    first: int
+    default_n_max: int
+    modes: tuple[str, ...]
+    rows: Callable[[range, str, int | None, int], Iterator[Row]]
+    bounded: bool = True
+
+
+_ARITHMETIC_ONLY = ("arithmetic", "both")
+
+THEOREMS: dict[str, Theorem] = {
+    "max-length": Theorem(0, 14, _ANY_MODE, partial(_word_rows, "verify_max_length", 0)),
+    "max-period": Theorem(1, 14, _ANY_MODE, partial(_word_rows, "verify_max_period", 1)),
+    "max-bcount": Theorem(1, 14, _ANY_MODE, partial(_word_rows, "verify_max_bcount", 2)),
+    "continuant-max": Theorem(
+        0, 20, _ARITHMETIC_ONLY, partial(_continuant_rows, "verify_continuant_max")
+    ),
+    "period-continuant-max": Theorem(
+        2, 20, _ARITHMETIC_ONLY, partial(_continuant_rows, "verify_period_continuant_max")
+    ),
+    "fib-lemma": Theorem(1, 60, _ARITHMETIC_ONLY, _fib_lemma_rows, bounded=False),
+    "harmonic": Theorem(1, 20, _ARITHMETIC_ONLY, _harmonic_rows, bounded=False),
+    # The census builds every image, so it has no arithmetic route.
+    "central-count": Theorem(0, 14, ("materialized", "both"), _census_rows),
+    "streams": Theorem(1, 14, _ANY_MODE, _stream_table_rows),
+}

@@ -16,14 +16,10 @@ from itertools import chain, repeat
 
 from . import _kernels
 from .config import ensure_materializable
-from .errors import MaterializationLimitError, NotCentralError
+from .errors import NotCentralError
 from .words import Word, check_letter, check_word
 
 _EXCHANGE = str.maketrans("ab", "ba")
-
-# Above this directive length p_x stops materializing morphism images and
-# switches to the continuant evaluation.
-_P_X_MATERIALIZE_MAX = 64
 
 _RUN = re.compile("a+|b+")
 
@@ -125,17 +121,11 @@ def mu(v: Word, target: Word) -> Word:
 def p_x(v: Word, x: str) -> int:
     """|mu_v(x)|, the x-indexed period of the closure image of v.
 
-    Materializes the morphism image for short directives; beyond that (or
-    when the image would exceed the cap) it evaluates the equivalent
-    continuant, since |mu_v(x)| is the minimal period of psi(v + x).
+    Evaluated as a continuant, never by building mu_v(x): |mu_v(x)| is the
+    minimal period of psi(v + x).
     """
     check_word(v)
     check_letter(x)
-    if len(v) <= _P_X_MATERIALIZE_MAX:
-        try:
-            return len(mu(v, x))
-        except MaterializationLimitError:
-            pass
     from .arithmetic import minimal_period_from_directive
 
     return minimal_period_from_directive(v + x)

@@ -2,6 +2,7 @@
 import importlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 from sturmian import config, fibonacci, verify_max_period
 from sturmian.cli import main
+from sturmian.oracle import THEOREMS
 
 FIB_PREFIX_25 = "abaababaabaababaababaabaa"
 
@@ -231,6 +233,63 @@ def test_verify_bound_exceeded(capsys):
     )
     assert code == 2
     assert recs[-1]["error_kind"] == "BoundExceededError"
+    code, recs = run_json(
+        capsys, "verify", "central-count", "--bound", "0", "--n-max", "3"
+    )
+    assert code == 2 and len(recs) == 1
+    assert recs[0]["error_kind"] == "BoundExceededError"
+
+
+@pytest.mark.parametrize(
+    "theorem, n_max",
+    [
+        ("max-length", "-3"),
+        ("max-period", "0"),
+        ("fib-lemma", "0"),
+        ("harmonic", "0"),
+        ("central-count", "-1"),
+        ("streams", "0"),
+    ],
+)
+def test_verify_empty_range_is_refused(capsys, theorem, n_max):
+    code, recs = run_json(capsys, "verify", theorem, "--n-max", n_max)
+    assert code == 2 and len(recs) == 1
+    assert recs[0]["status"] == "error"
+    assert recs[0]["error_kind"] == "ValueError"
+    assert recs[0]["inputs"] == {"theorem": theorem, "mode": "both"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("continuant-max", "--mode", "materialized"),
+        ("period-continuant-max", "--mode", "materialized"),
+        ("fib-lemma", "--mode", "materialized"),
+        ("harmonic", "--mode", "materialized"),
+        ("central-count", "--mode", "arithmetic"),
+        ("fib-lemma", "--bound", "5"),
+        ("harmonic", "--bound", "5"),
+    ],
+)
+def test_verify_refuses_unsupported_flags(capsys, argv):
+    code, recs = run_json(capsys, "verify", *argv, "--n-max", "4")
+    assert code == 2 and len(recs) == 1
+    assert recs[0]["error_kind"] == "ValueError"
+    assert recs[0]["inputs"]["theorem"] == argv[0]
+
+
+@pytest.mark.parametrize(
+    "theorem, mode", [(name, mode) for name, t in THEOREMS.items() for mode in t.modes]
+)
+def test_verify_listed_modes_run_every_order(capsys, theorem, mode):
+    # "both" is the default, so it runs without --mode.
+    first = THEOREMS[theorem].first
+    argv = ["verify", theorem, "--n-max", str(first + 2)]
+    if mode != "both":
+        argv += ["--mode", mode]
+    code, recs = run_json(capsys, *argv)
+    assert code == 0 and len(recs) == 3
+    assert all(r["status"] == "ok" and r["result"]["passed"] == "true" for r in recs)
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
@@ -302,6 +361,15 @@ def test_usage_errors_exit_2(capsys):
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 VERIFY_ARGV = ["verify", "harmonic", "--n-max", "4", "--format", "tsv"]
+
+
+def test_readme_theorem_table_matches_registry():
+    # The README table is where users read each theorem's defaults.
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `([a-z-]+)` \|[^|]*\| (\d+) \| ([a-z, ]+) \|$", text, re.M)
+    assert [(name, int(n_max), tuple(modes.split(", "))) for name, n_max, modes in rows] == [
+        (name, t.default_n_max, t.modes) for name, t in THEOREMS.items()
+    ]
 
 
 def declared_scripts():

@@ -213,8 +213,8 @@ def test_period_structure_exhaustively(psi12):
 
 
 def test_p_x_continuant_dispatch_agrees():
-    # Long but thin directives keep the image small while forcing the
-    # arithmetic branch (directive length > 64).
+    # Long but thin directives keep the morphism image small enough for the
+    # naive substitution to check the continuant answer.
     for v in ("a" * 40 + "b" + "a" * 30, "b" * 70, "ab" + "a" * 64, "a" * 20 + "b" * 25 + "a" * 21):
         for x in "ab":
             assert p_x(v, x) == len(naive.mu_naive(v, x))
