@@ -1,43 +1,2 @@
-"""Kernel backend selection.
-
-The compiled extension is used when importable; otherwise the pure-Python
-kernels take over with identical behavior.  STURMIAN_KERNEL=pure forces the
-fallback, STURMIAN_KERNEL=c demands the extension (ImportError if missing).
-"""
-from __future__ import annotations
-
-import os
-
-from . import _pure
-
-_choice = os.environ.get("STURMIAN_KERNEL", "").strip().lower()
-if _choice not in ("", "pure", "c"):
-    raise ImportError(f"STURMIAN_KERNEL must be 'pure' or 'c', got {_choice!r}")
-
-_impl = None
-if _choice in ("", "c"):
-    try:
-        from . import _speedups as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        if _choice == "c":
-            raise
-        _impl = None
-if _impl is None:
-    _impl = _pure
-
-BACKEND: str = _impl.BACKEND
-
-lps_length = _impl.lps_length
-min_period = _impl.min_period
-
-if _impl is _pure:
-    arith_scan = _pure.arith_scan
-else:
-    # Beyond this order the compiled scan's 63-bit continuants could overflow.
-    _C_SCAN_MAX = 64
-    _c_scan = _impl.arith_scan
-
-    def arith_scan(n: int, stat: int, a_start: bool) -> tuple[int, list[str]]:
-        if n <= _C_SCAN_MAX:
-            return _c_scan(n, stat, a_start)
-        return _pure.arith_scan(n, stat, a_start)
+"""The hot kernels: longest palindromic suffix, minimal period, continuant scan."""
+from ._pure import BACKEND, arith_scan, lps_length, min_period

@@ -3,8 +3,7 @@
 Three operations dominate the runtime of the exhaustive verifiers:
 longest-palindromic-suffix queries, minimal-period queries, and the
 directive-tree scan that evaluates word statistics through integer
-recurrences only.  They are isolated here so a compiled twin
-(_speedups.pyx) can replace them without touching any call site.
+recurrences only.  Call sites reach them through `sturmian._kernels`.
 """
 from __future__ import annotations
 
@@ -66,7 +65,8 @@ def arith_scan(n: int, stat: int, a_start: bool) -> tuple[int, list[str]]:
     (maximum, lexicographically sorted argmax directives).  No word is ever
     materialized: each directive letter updates two continuant pairs, one for
     the head-incremented block exponents (length/period track) and one for
-    the raw exponents (b-count track).
+    the raw exponents (b-count track).  The continuants are Python integers,
+    so any order is exact; the cost, 2^n leaves, is the only limit.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

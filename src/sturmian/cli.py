@@ -217,11 +217,10 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="override the materialization cap for this invocation",
     )
-    common.add_argument(
+    # Only the commands whose records print words read --full.
+    full = argparse.ArgumentParser(add_help=False)
+    full.add_argument(
         "--full", action="store_true", help="never elide long words in output"
-    )
-    common.add_argument(
-        "--seed", type=int, default=0, help="seed for sampled route-agreement checks"
     )
 
     parser = argparse.ArgumentParser(
@@ -231,16 +230,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("psi", parents=[common], help="iterated palindromic closure of a directive")
+    p = sub.add_parser(
+        "psi", parents=[common, full], help="iterated palindromic closure of a directive"
+    )
     p.add_argument("directive", help="finite directive word over {a, b}")
     p.set_defaults(func=_cmd_psi)
 
-    p = sub.add_parser("stream", parents=[common], help="prefix of an infinite closure image")
+    p = sub.add_parser("stream", parents=[common, full], help="prefix of an infinite closure image")
     p.add_argument("spec", help="directive as 'preperiod|period', e.g. '|ab' or 'abb|ab'")
     p.add_argument("prefix_len", type=int, help="how many letters to emit")
     p.set_defaults(func=_cmd_stream)
 
-    p = sub.add_parser("christoffel", parents=[common], help="Christoffel word of slope p/q")
+    p = sub.add_parser("christoffel", parents=[common, full], help="Christoffel word of slope p/q")
     p.add_argument("p", type=int, help="number of 'b' letters")
     p.add_argument("q", type=int, help="number of 'a' letters")
     p.add_argument("--factor", action="store_true", help="include the standard factorization")
@@ -259,9 +260,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="evaluation route(s); 'both' asserts agreement",
     )
     p.add_argument("--bound", type=int, default=None, help="override the enumeration bound")
+    p.add_argument(
+        "--seed", type=int, default=0, help="seed for sampled route-agreement checks"
+    )
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("arith", parents=[common], help="exponent-list and continuant arithmetic")
+    p = sub.add_parser(
+        "arith", parents=[common, full], help="exponent-list and continuant arithmetic"
+    )
     p.add_argument(
         "operation", choices=("intrep", "continuant", "cf", "slope", "length", "period")
     )
@@ -286,7 +292,7 @@ def main(argv=None) -> int:
         code = args.func(args, em)
     except (SturmianError, ValueError) as exc:
         inputs = {
-            key: _display_word(str(getattr(args, key)), args.full)
+            key: _display_word(str(getattr(args, key)), getattr(args, "full", False))
             for key in _INPUT_ARGS[args.command]
         }
         em.emit(

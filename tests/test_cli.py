@@ -279,6 +279,27 @@ def test_verify_refuses_unsupported_flags(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("psi", "ab", "--seed", "9"),
+        ("christoffel", "2", "3", "--seed", "1"),
+        ("arith", "continuant", "[1,1]", "--seed", "1"),
+        ("verify", "fib-lemma", "--n-max", "1", "--full"),
+    ],
+)
+def test_flags_a_command_does_not_read_are_refused(capsys, argv):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
+def test_verify_takes_seed(capsys):
+    assert main(["verify", "fib-lemma", "--n-max", "1", "--seed", "9"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
     "theorem, mode", [(name, mode) for name, t in THEOREMS.items() for mode in t.modes]
 )
 def test_verify_listed_modes_run_every_order(capsys, theorem, mode):

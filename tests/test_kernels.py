@@ -1,22 +1,11 @@
-"""Kernel contracts, and agreement between the pure and compiled backends."""
+"""Kernel contracts, each pinned to a naive reimplementation."""
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import naive
 from sturmian import _kernels
-from sturmian._kernels import _pure
-
-try:
-    from sturmian._kernels import _speedups
-except ImportError:
-    _speedups = None
-
-BACKENDS = [_pure] + ([_speedups] if _speedups is not None else [])
-
-
-def _ids(mod):
-    return mod.BACKEND
+from sturmian._kernels import arith_scan, lps_length, min_period
 
 
 def _scan_brute(n, stat, a_start):
@@ -34,75 +23,52 @@ def _scan_brute(n, stat, a_start):
 
 
 def test_backend_selected():
-    assert _kernels.BACKEND in ("pure", "c")
+    assert _kernels.BACKEND == "pure"
 
 
-@pytest.mark.parametrize("mod", BACKENDS, ids=_ids)
-def test_lps_matches_naive_exhaustively(mod):
+def test_lps_matches_naive_exhaustively():
     for w in naive.words_upto(12):
-        assert mod.lps_length(w) == naive.lps_naive(w)
+        assert lps_length(w) == naive.lps_naive(w)
 
 
-@pytest.mark.parametrize("mod", BACKENDS, ids=_ids)
-def test_lps_examples(mod):
-    assert mod.lps_length("") == 0
-    assert mod.lps_length("a") == 1
-    assert mod.lps_length("ab") == 1
-    assert mod.lps_length("abaa") == 2
-    assert mod.lps_length("abab") == 3
-    assert mod.lps_length("abaab") == 4
-    assert mod.lps_length("aab") == 1
-    assert mod.lps_length("abba") == 4
+def test_lps_examples():
+    assert lps_length("") == 0
+    assert lps_length("a") == 1
+    assert lps_length("ab") == 1
+    assert lps_length("abaa") == 2
+    assert lps_length("abab") == 3
+    assert lps_length("abaab") == 4
+    assert lps_length("aab") == 1
+    assert lps_length("abba") == 4
 
 
 @given(st.text(alphabet="abc", max_size=200))
 def test_lps_matches_naive_random(w):
-    for mod in BACKENDS:
-        assert mod.lps_length(w) == naive.lps_naive(w)
+    assert lps_length(w) == naive.lps_naive(w)
 
 
-@pytest.mark.parametrize("mod", BACKENDS, ids=_ids)
-def test_min_period_matches_naive_exhaustively(mod):
+def test_min_period_matches_naive_exhaustively():
     for w in naive.words_upto(12):
-        assert mod.min_period(w) == naive.min_period_naive(w)
+        assert min_period(w) == naive.min_period_naive(w)
 
 
 @given(st.text(alphabet="abc", max_size=200))
 def test_min_period_matches_naive_random(w):
-    for mod in BACKENDS:
-        assert mod.min_period(w) == naive.min_period_naive(w)
+    assert min_period(w) == naive.min_period_naive(w)
 
 
-@pytest.mark.parametrize("mod", BACKENDS, ids=_ids)
-def test_arith_scan_matches_brute_force(mod):
+def test_arith_scan_matches_brute_force():
     for n in range(0, 10):
         for stat in (0, 1, 2):
             for a_start in (False, True):
-                assert mod.arith_scan(n, stat, a_start) == _scan_brute(n, stat, a_start)
+                assert arith_scan(n, stat, a_start) == _scan_brute(n, stat, a_start)
 
 
-@pytest.mark.parametrize("mod", BACKENDS, ids=_ids)
-def test_arith_scan_rejects_bad_arguments(mod):
+def test_arith_scan_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        mod.arith_scan(-1, 0, False)
+        arith_scan(-1, 0, False)
     with pytest.raises(ValueError):
-        mod.arith_scan(3, 5, False)
-
-
-@pytest.mark.skipif(_speedups is None, reason="compiled backend not built")
-def test_backends_agree():
-    for n in range(0, 13):
-        for stat in (0, 1, 2):
-            for a_start in (False, True):
-                assert _pure.arith_scan(n, stat, a_start) == _speedups.arith_scan(
-                    n, stat, a_start
-                )
-
-
-@pytest.mark.skipif(_speedups is None, reason="compiled backend not built")
-def test_compiled_scan_order_cap():
-    with pytest.raises(ValueError):
-        _speedups.arith_scan(65, 0, False)
+        arith_scan(3, 5, False)
 
 
 def test_dispatcher_exposes_kernels():

@@ -6,7 +6,6 @@ import pytest
 import naive
 from sturmian import (
     BoundExceededError,
-    _kernels,
     count_letter,
     central_length_census,
     count_central,
@@ -297,7 +296,7 @@ def test_dual_path_agreement_on_random_directives():
     # directives longer than the exhaustive range.  Directives whose image
     # would be huge are re-drawn; length 13 always qualifies, so the loop
     # always makes progress.
-    sample = 100_000 if _kernels.BACKEND == "c" else 20_000
+    sample = 20_000
     rng = random.Random(20260821)
     checked = 0
     while checked < sample:
