@@ -19,9 +19,16 @@ from functools import partial
 from typing import Callable, Iterator
 
 from . import _kernels
-from .arithmetic import IntRep, psi_stats_from_directive, to_integral
+from .arithmetic import (
+    IntRep,
+    christoffel_length_from_directive,
+    minimal_period_from_directive,
+    psi_stats_from_directive,
+    to_integral,
+)
 from .config import ARITHMETIC_ORDER_BOUND, MATERIALIZED_ORDER_BOUND
 from .errors import BoundExceededError
+from .families import count_central
 from .palindromization import (
     DirectiveSpec,
     exchange_E,
@@ -178,19 +185,25 @@ def expected_continuant_max(n: int) -> tuple[int, list[IntRep]]:
     return fibonacci(n + 1), sorted(fams)
 
 
+def _verify_continuant(
+    name: str, stat: int, offset: int, expected, n: int, bound: int | None
+) -> ExtremalReport:
+    _check_order(name, n)
+    _check_bound(n, "arithmetic", bound)
+    raw_max, raw_arg = _kernels.arith_scan(n, stat, False)
+    # The empty directive's exponent list is (0,).
+    argmax = sorted(to_integral(v) if v else (0,) for v in raw_arg)
+    return _make_report(n, raw_max + offset, argmax, *expected(n))
+
+
 def verify_continuant_max(n: int, bound: int | None = None) -> ExtremalReport:
     """Maximize the head-and-tail-shifted continuant over exponent lists of weight n.
 
     The admissible lists are exactly the block encodings of directive words
-    of length n (the empty word contributing (0,)), so the scan walks the
-    directive tree.
+    of length n, so the scan walks the directive tree; the continuant is the
+    image length plus 2.
     """
-    _check_order("continuant-max", n)
-    _check_bound(n, "arithmetic", bound)
-    raw_max, raw_arg = _kernels.arith_scan(n, 0, False)
-    argmax = sorted(to_integral(v) if v else (0,) for v in raw_arg)
-    exp_max, exp_arg = expected_continuant_max(n)
-    return _make_report(n, raw_max + 2, argmax, exp_max, exp_arg)
+    return _verify_continuant("continuant-max", 0, 2, expected_continuant_max, n, bound)
 
 
 def expected_period_continuant_max(n: int) -> tuple[int, list[IntRep]]:
@@ -217,12 +230,9 @@ def period_continuant_equality_lists(n: int) -> list[IntRep]:
 
 def verify_period_continuant_max(n: int, bound: int | None = None) -> ExtremalReport:
     """Maximize the drop-last-then-shift-head continuant over exponent lists of weight n."""
-    _check_order("period-continuant-max", n)
-    _check_bound(n, "arithmetic", bound)
-    raw_max, raw_arg = _kernels.arith_scan(n, 1, False)
-    argmax = sorted(to_integral(v) for v in raw_arg)
-    exp_max, exp_arg = expected_period_continuant_max(n)
-    return _make_report(n, raw_max, argmax, exp_max, exp_arg)
+    return _verify_continuant(
+        "period-continuant-max", 1, 0, expected_period_continuant_max, n, bound
+    )
 
 
 def fib_lemma_holds_at(n: int) -> bool:
@@ -236,29 +246,15 @@ def fib_lemma_holds_at(n: int) -> bool:
     return True
 
 
-def verify_fib_lemma(n_max: int) -> bool:
-    """The weighted Fibonacci bound at every order up to n_max."""
-    _check_order("fib-lemma", n_max, "n_max")
-    return all(fib_lemma_holds_at(n) for n in range(1, n_max + 1))
-
-
 def harmonic_at(n: int) -> tuple[int, int, int, bool]:
     """(period, modulus, residue, ok): the squared period of the alternating image
     is +-1 modulo its length + 2.  Evaluated by continuants only."""
-    from .arithmetic import christoffel_length_from_directive, minimal_period_from_directive
-
     _check_order("harmonic", n)
     v = fibonacci_directive_prefix(n)
     period = minimal_period_from_directive(v)
     modulus = christoffel_length_from_directive(v)
     residue = pow(period, 2, modulus)
     return period, modulus, residue, residue in (1 % modulus, modulus - 1)
-
-
-def verify_harmonic_fibonacci(order_max: int) -> bool:
-    """The +-1 square law at every order up to order_max."""
-    _check_order("harmonic", order_max, "order_max")
-    return all(harmonic_at(n)[3] for n in range(1, order_max + 1))
 
 
 def central_length_census(n_max: int, bound: int = 16) -> dict[int, int]:
@@ -270,7 +266,7 @@ def central_length_census(n_max: int, bound: int = 16) -> dict[int, int]:
     """
     _check_order("central-count", n_max, "n_max")
     if n_max > bound:
-        raise BoundExceededError(f"census beyond length {bound} is unreasonably large")
+        raise BoundExceededError(f"length {n_max} exceeds the census bound {bound}")
     counts = [0] * (n_max + 1)
     stack = [("", "a", "b")]
     while stack:
@@ -282,61 +278,53 @@ def central_length_census(n_max: int, bound: int = 16) -> dict[int, int]:
     return dict(enumerate(counts))
 
 
-def verify_central_count(n_max: int, bound: int = 16) -> bool:
-    """Census counts match Euler's totient of length + 2 at every length up to n_max."""
-    from .families import count_central
-
-    census = central_length_census(n_max, bound)
-    return all(census[k] == count_central(k) for k in range(n_max + 1))
-
-
 def stream_rows(
-    order_max: int, mode: str = "both", bound: int | None = None
+    order_max: int, mode: str = "both", bound: int | None = None, seed: int = 0
 ) -> list[dict[str, object]]:
     """Per-order scoreboard for the three extremal streams.
 
     The alternating stream must attain the length and period maxima, its
     exchange the period maximum, and the heavy stream (preperiod 'abb') the
     b-count maximum from order 3 on; each must also sit in the enumerated
-    argmax, and the enumeration itself must match the closed form.
+    argmax, and the enumeration itself must match the closed form.  Each
+    statistic's ok flag also requires its routes to agree under `mode`, as
+    the word theorems check them.
     """
     _check_order("streams", order_max, "order_max")
-    if mode not in _ANY_MODE:
-        raise ValueError(f"mode must be one of {_ANY_MODE}, got {mode!r}")
+    rng = random.Random(seed)
     sf = psi_stream(DirectiveSpec("", "ab"))
     sef = psi_stream(DirectiveSpec("", "ba"))
     sg = psi_stream(DirectiveSpec("abb", "ab"))
     rows: list[dict[str, object]] = []
     for n in range(1, order_max + 1):
-        if mode == "both":
-            eff = "materialized" if n <= MATERIALIZED_ORDER_BOUND else "arithmetic"
-        else:
-            eff = mode
         sf = psi_stream_advance(sf, 1)
         sef = psi_stream_advance(sef, 1)
         sg = psi_stream_advance(sg, 1)
         vn = fibonacci_directive_prefix(n)
         evn = exchange_E(vn)
-        rep_len = verify_max_length(n, eff, bound)
-        rep_per = verify_max_period(n, eff, bound)
+        rep_len, _, agree_len = _checked_report(verify_max_length, 0, n, mode, bound, rng)
+        rep_per, _, agree_per = _checked_report(verify_max_period, 1, n, mode, bound, rng)
         length_ok = (
-            rep_len.passed
+            agree_len
+            and rep_len.passed
             and len(sf.current) == rep_len.maximum
             and vn in rep_len.argmax
             and evn in rep_len.argmax
         )
         period_ok = (
-            rep_per.passed
+            agree_per
+            and rep_per.passed
             and minimal_period(sef.current) == rep_per.maximum
             and vn in rep_per.argmax
             and evn in rep_per.argmax
         )
         if n >= 3:
-            rep_b = verify_max_bcount(n, eff, bound)
+            rep_b, _, agree_b = _checked_report(verify_max_bcount, 2, n, mode, bound, rng)
             gdir = sg.spec.prefix(n)
             bcount = sg.current.count("b")
             bcount_ok = (
-                rep_b.passed
+                agree_b
+                and rep_b.passed
                 and gdir == exchange_E(op_d(vn))
                 and bcount == rep_b.maximum
                 and gdir in rep_b.argmax
@@ -357,13 +345,6 @@ def stream_rows(
             }
         )
     return rows
-
-
-def verify_characteristic_extremal_streams(
-    order_max: int, mode: str = "both", bound: int | None = None
-) -> bool:
-    """True iff every stream row up to order_max passes."""
-    return all(bool(row["passed"]) for row in stream_rows(order_max, mode, bound))
 
 
 Row = tuple[dict[str, str], dict[str, str]]
@@ -391,15 +372,34 @@ def _sampled_agreement(
     n: int, stat: int, expected: tuple, rng: random.Random, samples: int = 64
 ) -> bool:
     """Spot-check route agreement above the materialized bound: random directives
-    plus the expected argmax, each measured by string scan and by continuant."""
+    plus the expected argmax, each measured by string scan and by continuant.
+    Where fewer directives exist than that, all of them are checked."""
     pool = set(expected)
-    want = samples + len(pool)
+    want = min(samples + len(pool), 2 ** (n - 1 if stat == 2 else n))
     while len(pool) < want:
         head = "a" if stat == 2 else rng.choice("ab")
         pool.add(head + "".join(rng.choice("ab") for _ in range(n - 1)))
     return all(
         _statistic(psi(v), stat) == psi_stats_from_directive(v)[stat] for v in sorted(pool)
     )
+
+
+def _checked_report(
+    verify, stat: int, n: int, mode: str, bound: int | None, rng: random.Random
+) -> tuple[ExtremalReport, str, bool]:
+    """One order of a word theorem: (report, check, agreement).
+
+    A single mode runs that route alone.  "both" compares the arithmetic
+    report with the materialized one up to the materialized bound (or
+    `bound`), and above it checks the routes on sampled directives.
+    """
+    if mode != "both":
+        return verify(n, mode, bound), mode, True
+    if n <= (MATERIALIZED_ORDER_BOUND if bound is None else bound):
+        rep, other = verify(n, "arithmetic", bound), verify(n, "materialized", bound)
+        return rep, "full", rep.maximum == other.maximum and set(rep.argmax) == set(other.argmax)
+    rep = verify(n, "arithmetic", bound)
+    return rep, "sampled", _sampled_agreement(n, stat, rep.expected_argmax, rng)
 
 
 # The row functions look their verifier up by name on every call instead of
@@ -411,19 +411,8 @@ def _word_rows(
 ) -> Iterator[Row]:
     verify = globals()[verifier]
     rng = random.Random(seed)
-    mat_cut = MATERIALIZED_ORDER_BOUND if bound is None else bound
     for n in orders:
-        if mode != "both":
-            rep = verify(n, mode, bound)
-            agree, check = True, mode
-        elif n <= mat_cut:
-            rep, other = verify(n, "arithmetic", bound), verify(n, "materialized", bound)
-            agree = rep.maximum == other.maximum and set(rep.argmax) == set(other.argmax)
-            check = "full"
-        else:
-            rep = verify(n, "arithmetic", bound)
-            agree = _sampled_agreement(n, stat, rep.expected_argmax, rng)
-            check = "sampled"
+        rep, check, agree = _checked_report(verify, stat, n, mode, bound, rng)
         yield {"order": str(n), "mode": mode}, {
             **_report_fields(rep, str),
             "check": check,
@@ -459,8 +448,6 @@ def _harmonic_rows(orders: range, mode: str, bound, seed: int) -> Iterator[Row]:
 
 
 def _census_rows(orders: range, mode: str, bound, seed: int) -> Iterator[Row]:
-    from .families import count_central
-
     n_max = orders[-1]
     census = central_length_census(n_max) if bound is None else central_length_census(n_max, bound)
     for k in orders:
@@ -473,7 +460,7 @@ def _census_rows(orders: range, mode: str, bound, seed: int) -> Iterator[Row]:
 
 
 def _stream_table_rows(orders: range, mode: str, bound, seed: int) -> Iterator[Row]:
-    for row in stream_rows(orders[-1], mode, bound):
+    for row in stream_rows(orders[-1], mode, bound, seed):
         yield {"order": str(row["order"]), "mode": mode}, {
             "length": str(row["length"]),
             "length_ok": _fmt_bool(row["length_ok"]),

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 
 from . import _kernels
+from .arithmetic import minimal_period_from_directive
 from .config import ensure_materializable
 from .errors import NotCentralError
 from .words import Word, check_letter, check_word
@@ -101,7 +102,9 @@ def directive_word_of(w: Word) -> Word:
 def mu(v: Word, target: Word) -> Word:
     """Composed substitution: letter 'a' contributes a -> a, b -> ab; 'b' contributes a -> ba, b -> b.
 
-    Letters of v compose left-to-right with the rightmost applied first.
+    Letters of v compose left-to-right with the rightmost applied first.  A
+    run of k letters 'a' sends b -> a^k b and a run of k letters 'b' sends
+    a -> b^k a, so each run costs one replace, checked against the cap first.
 
     >>> mu("a", "ba")
     'aba'
@@ -109,12 +112,10 @@ def mu(v: Word, target: Word) -> Word:
     check_word(v)
     check_word(target)
     w = target
-    for x in reversed(v):
-        if x == "a":
-            w = w.replace("b", "ab")
-        else:
-            w = w.replace("a", "ba")
-        ensure_materializable(len(w))
+    for run in reversed(_RUN.findall(v)):
+        y = "b" if run[0] == "a" else "a"
+        ensure_materializable(len(w) + len(run) * w.count(y))
+        w = w.replace(y, run + y)
     return w
 
 
@@ -126,8 +127,6 @@ def p_x(v: Word, x: str) -> int:
     """
     check_word(v)
     check_letter(x)
-    from .arithmetic import minimal_period_from_directive
-
     return minimal_period_from_directive(v + x)
 
 

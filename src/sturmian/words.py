@@ -133,6 +133,15 @@ def fibonacci(n: int) -> int:
 
 
 def is_lyndon(w: Word) -> bool:
-    """True iff w is non-empty and strictly smaller than every proper suffix."""
+    """True iff w is non-empty and strictly smaller than every proper suffix.
+
+    Duval's scan: w is a Lyndon word iff it is its own first Lyndon factor,
+    i.e. the scan reaches the end of w with its period still |w| (k = 0).
+    """
     check_word(w)
-    return bool(w) and all(w < w[i:] for i in range(1, len(w)))
+    k = 0
+    for j in range(1, len(w)):
+        if w[k] > w[j]:
+            return False
+        k = k + 1 if w[k] == w[j] else 0
+    return bool(w) and k == 0

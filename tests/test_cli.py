@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from sturmian import config, fibonacci, verify_max_period
+from sturmian import config, fibonacci, oracle, verify_max_period
 from sturmian.cli import main
 from sturmian.oracle import THEOREMS
 
@@ -181,6 +181,44 @@ def test_verify_sampled_above_materialized_bound(capsys):
     assert by_order["15"]["check"] == "sampled"
     assert by_order["15"]["agreement"] == "true"
     assert by_order["15"]["maximum"] == str(fibonacci(16) - 2)
+
+
+def _failed_orders(recs):
+    return [r["inputs"]["order"] for r in recs if r["result"]["passed"] == "false"]
+
+
+def test_verify_streams_compares_routes_in_full(capsys, monkeypatch):
+    # Under --mode both, streams checks its orders as the word theorems do, so
+    # an arithmetic scan that loses an argmax member fails there too.
+    real = oracle._kernels.arith_scan
+
+    def scan(n, stat, a_start):
+        best, arg = real(n, stat, a_start)
+        return best, arg[1:] if n == 5 else arg
+
+    monkeypatch.setattr(oracle._kernels, "arith_scan", scan)
+    for theorem in ("streams", "max-period"):
+        code, recs = run_json(capsys, "verify", theorem, "--n-max", "6")
+        assert code == 1
+        assert _failed_orders(recs) == ["5"]
+
+
+def test_verify_streams_compares_routes_on_samples(capsys, monkeypatch):
+    # With the materialized bound lowered to 4, orders 5 and 6 are checked on
+    # sampled directives; a continuant route that miscounts the image length
+    # of every order-6 directive must fail order 6.
+    real = oracle.psi_stats_from_directive
+
+    def stats(v):
+        length, period, bcount = real(v)
+        return length + (len(v) == 6), period, bcount
+
+    monkeypatch.setattr(oracle, "MATERIALIZED_ORDER_BOUND", 4)
+    monkeypatch.setattr(oracle, "psi_stats_from_directive", stats)
+    for theorem in ("streams", "max-length"):
+        code, recs = run_json(capsys, "verify", theorem, "--n-max", "6")
+        assert code == 1
+        assert _failed_orders(recs) == ["6"]
 
 
 def test_verify_continuant_rows(capsys):

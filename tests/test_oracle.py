@@ -26,23 +26,27 @@ from sturmian import (
     psi_stats_from_directive,
     stream_rows,
     to_integral,
-    verify_central_count,
-    verify_characteristic_extremal_streams,
     verify_continuant_max,
-    verify_fib_lemma,
-    verify_harmonic_fibonacci,
     verify_max_bcount,
     verify_max_length,
     verify_max_period,
     verify_period_continuant_max,
 )
 from sturmian.arithmetic import _length_terms, continuant
+from sturmian.oracle import THEOREMS
 
 MAX_LENGTH_TABLE = {n: v for n, v in enumerate([0, 1, 3, 6, 11, 19, 32, 53, 87])}
 MAX_PERIOD_TABLE = {n + 1: v for n, v in enumerate([1, 2, 3, 5, 8, 13, 21, 34])}
 MAX_BCOUNT_TABLE = {n + 1: v for n, v in enumerate([0, 1, 2, 4, 7, 12, 20, 33])}
 CONTINUANT_MAX_TABLE = {n: v for n, v in enumerate([2, 3, 5, 8, 13, 21, 34, 55, 89])}
 PERIOD_CONTINUANT_TABLE = {n + 2: v for n, v in enumerate([2, 3, 5, 8, 13, 21, 34])}
+
+
+def all_orders_pass(name, n_max, mode="both"):
+    """Every registry row of theorem `name` from its first order to n_max passes."""
+    orders = range(THEOREMS[name].first, n_max + 1)
+    rows = THEOREMS[name].rows(orders, mode, None, 0)
+    return all(result["passed"] == "true" for _, result in rows)
 
 
 def test_directive_images_match_psi(psi12):
@@ -224,16 +228,14 @@ def test_period_continuant_at_order_three():
 
 
 def test_fib_lemma():
-    assert verify_fib_lemma(60)
+    assert all_orders_pass("fib-lemma", 60)
     assert fib_lemma_holds_at(1)
     with pytest.raises(ValueError):
         fib_lemma_holds_at(0)
-    with pytest.raises(ValueError):
-        verify_fib_lemma(0)
 
 
 def test_harmonic():
-    assert verify_harmonic_fibonacci(20)
+    assert all_orders_pass("harmonic", 20)
     for n in range(1, 13):
         period, modulus, residue, ok = harmonic_at(n)
         assert ok
@@ -249,9 +251,9 @@ def test_harmonic():
 def test_central_census():
     census = central_length_census(14)
     assert census == {n: count_central(n) for n in range(15)}
-    assert verify_central_count(14)
-    assert verify_central_count(0)
-    with pytest.raises(BoundExceededError):
+    assert all_orders_pass("central-count", 14)
+    assert all_orders_pass("central-count", 0)
+    with pytest.raises(BoundExceededError, match="length 17 exceeds the census bound 16"):
         central_length_census(17)
     assert central_length_census(17, bound=17)[17] == count_central(17)
     with pytest.raises(ValueError):
@@ -270,9 +272,9 @@ def test_stream_rows():
             assert row["bcount"] == fibonacci(n - 1) - 1
         else:
             assert row["bcount"] is None
-    assert verify_characteristic_extremal_streams(10)
-    assert verify_characteristic_extremal_streams(6, mode="materialized")
-    assert verify_characteristic_extremal_streams(6, mode="arithmetic")
+    assert all_orders_pass("streams", 10)
+    assert all_orders_pass("streams", 6, mode="materialized")
+    assert all_orders_pass("streams", 6, mode="arithmetic")
     with pytest.raises(ValueError):
         stream_rows(0)
     with pytest.raises(ValueError):

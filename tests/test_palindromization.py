@@ -183,6 +183,35 @@ def test_mu_matches_naive(v, t):
     assert mu(v, t) == naive.mu_naive(v, t)
 
 
+def test_mu_matches_naive_on_letter_powers():
+    for k in (1, 2, 3, 7, 40):
+        for x in "ab":
+            for v in (x * k, x * k + "ab", "ba" + x * k):
+                for t in ("a", "b", "abba"):
+                    assert mu(v, t) == naive.mu_naive(v, t)
+
+
+def test_mu_letter_power_of_a_million():
+    # One replace per run: a run of k letters sends the other letter y to x^k y.
+    k = 10**6
+    assert mu("a" * k, "b") == "a" * k + "b"
+    assert mu("b" * k, "ab") == "b" * k + "a" + "b"
+    assert mu("b" * k, "b") == "b"
+
+
+def test_mu_cap_is_checked_per_run():
+    saved = config._override
+    try:
+        config.set_max_word_len(1000)
+        assert len(mu("a" * 999, "b")) == 1000
+        with pytest.raises(MaterializationLimitError):
+            mu("a" * 1000, "b")
+        with pytest.raises(MaterializationLimitError):
+            mu("ab" * 10, "a")
+    finally:
+        config._override = saved
+
+
 @given(words, st.text(alphabet="ab", max_size=6), st.text(alphabet="ab", max_size=6))
 def test_mu_is_a_morphism(v, s, t):
     assert mu(v, s + t) == mu(v, s) + mu(v, t)
@@ -220,9 +249,9 @@ def test_p_x_continuant_dispatch_agrees():
             assert p_x(v, x) == len(naive.mu_naive(v, x))
 
 
-def test_p_x_cap_fallthrough():
-    # A short directive whose image exceeds the cap: the morphism route is
-    # barred, but the continuant route still answers.
+def test_p_x_answers_past_the_cap():
+    # A short directive whose image exceeds the cap: p_x evaluates a
+    # continuant and builds no word, so the cap does not stop it.
     v = fibonacci_directive_prefix(30)
     saved = config._override
     try:

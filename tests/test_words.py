@@ -212,3 +212,22 @@ def test_is_lyndon_examples():
 def test_is_lyndon_matches_rotation_definition():
     for w in naive.words_upto(10):
         assert is_lyndon(w) == naive.is_lyndon_naive(w)
+
+
+@given(st.text(alphabet="ab", min_size=1, max_size=60))
+def test_is_lyndon_matches_rotation_definition_on_random_words(w):
+    assert is_lyndon(w) == naive.is_lyndon_naive(w)
+
+
+def test_is_lyndon_on_letter_powers():
+    for k in (1, 2, 3, 17):
+        for w in ("a" * k, "b" * k, "a" * k + "b", "a" + "b" * k, "b" * k + "a", "a" * k + "ba"):
+            assert is_lyndon(w) == naive.is_lyndon_naive(w)
+
+
+def test_is_lyndon_at_a_million_letters():
+    # Duval's scan is linear; comparing w with each proper suffix was quadratic.
+    k = 10**6
+    assert is_lyndon("a" * (k - 1) + "b")
+    assert not is_lyndon("a" * k)
+    assert not is_lyndon("a" * (k // 2) + "b" + "a" * (k // 2 - 1))
