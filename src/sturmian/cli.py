@@ -95,7 +95,7 @@ def _parse_int_list(payload: str) -> tuple[int, ...]:
         data = json.loads(payload)
     except json.JSONDecodeError:
         raise ValueError(f"payload must be a JSON integer list, got {payload!r}") from None
-    if not isinstance(data, list) or not all(isinstance(x, int) for x in data):
+    if not isinstance(data, list) or not all(type(x) is int for x in data):
         raise ValueError(f"payload must be a JSON integer list, got {payload!r}")
     return tuple(data)
 
@@ -255,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=None, help="largest order to check")
     p.add_argument(
         "--mode",
-        choices=("materialized", "arithmetic", "both"),
+        choices=oracle.ANY_MODE,
         default="both",
         help="evaluation route(s); 'both' asserts agreement",
     )

@@ -39,10 +39,10 @@ from .palindromization import (
     psi_stream,
     psi_stream_advance,
 )
-from .words import Word, fibonacci, minimal_period
+from .words import Word, fibonacci
 
 MODES = ("materialized", "arithmetic")
-_ANY_MODE = MODES + ("both",)
+ANY_MODE = MODES + ("both",)
 
 
 @dataclass(frozen=True)
@@ -278,73 +278,53 @@ def central_length_census(n_max: int, bound: int = 16) -> dict[int, int]:
     return dict(enumerate(counts))
 
 
+# One row per extremal stream: (field, statistic, verifier, directive, first
+# order).  From its first order on, the stream's image must attain the
+# statistic's maximum, and its directive prefix must be in the argmax.  The
+# verifier is looked up by name, as the row functions below do.
+_STREAMS = (
+    ("length", 0, "verify_max_length", DirectiveSpec.parse("|ab"), 1),
+    ("period", 1, "verify_max_period", DirectiveSpec.parse("|ba"), 1),
+    ("bcount", 2, "verify_max_bcount", DirectiveSpec.parse("abb|ab"), 3),
+)
+
+
+def _stream_scoreboard(
+    orders: range, mode: str, bound: int | None, seed: int
+) -> Iterator[dict[str, object]]:
+    """Yield the streams scoreboard one order at a time; see stream_rows."""
+    rng = random.Random(seed)
+    streams = [psi_stream(spec) for _, _, _, spec, _ in _STREAMS]
+    for n in orders:
+        streams = [psi_stream_advance(s, 1) for s in streams]
+        row: dict[str, object] = {"order": n}
+        for (field, stat, verifier, _, first), s in zip(_STREAMS, streams):
+            if n < first:
+                row[field], row[field + "_ok"] = None, True
+                continue
+            rep, _, agree = _checked_report(globals()[verifier], stat, n, mode, bound, rng)
+            row[field] = value = _statistic(s.current, stat)
+            row[field + "_ok"] = (
+                agree and rep.passed and value == rep.maximum and s.spec.prefix(n) in rep.argmax
+            )
+        row["passed"] = all(row[field + "_ok"] for field, *_ in _STREAMS)
+        yield row
+
+
 def stream_rows(
     order_max: int, mode: str = "both", bound: int | None = None, seed: int = 0
 ) -> list[dict[str, object]]:
     """Per-order scoreboard for the three extremal streams.
 
-    The alternating stream must attain the length and period maxima, its
-    exchange the period maximum, and the heavy stream (preperiod 'abb') the
-    b-count maximum from order 3 on; each must also sit in the enumerated
-    argmax, and the enumeration itself must match the closed form.  Each
-    statistic's ok flag also requires its routes to agree under `mode`, as
-    the word theorems check them.
+    The alternating stream must attain the length maximum, its exchange the
+    period maximum, and the heavy stream (preperiod 'abb') the b-count
+    maximum from order 3 on; each stream's directive prefix must sit in the
+    enumerated argmax, and the enumeration itself must match the closed
+    form.  Each statistic's ok flag also requires its routes to agree under
+    `mode`, as the word theorems check them.
     """
     _check_order("streams", order_max, "order_max")
-    rng = random.Random(seed)
-    sf = psi_stream(DirectiveSpec("", "ab"))
-    sef = psi_stream(DirectiveSpec("", "ba"))
-    sg = psi_stream(DirectiveSpec("abb", "ab"))
-    rows: list[dict[str, object]] = []
-    for n in range(1, order_max + 1):
-        sf = psi_stream_advance(sf, 1)
-        sef = psi_stream_advance(sef, 1)
-        sg = psi_stream_advance(sg, 1)
-        vn = fibonacci_directive_prefix(n)
-        evn = exchange_E(vn)
-        rep_len, _, agree_len = _checked_report(verify_max_length, 0, n, mode, bound, rng)
-        rep_per, _, agree_per = _checked_report(verify_max_period, 1, n, mode, bound, rng)
-        length_ok = (
-            agree_len
-            and rep_len.passed
-            and len(sf.current) == rep_len.maximum
-            and vn in rep_len.argmax
-            and evn in rep_len.argmax
-        )
-        period_ok = (
-            agree_per
-            and rep_per.passed
-            and minimal_period(sef.current) == rep_per.maximum
-            and vn in rep_per.argmax
-            and evn in rep_per.argmax
-        )
-        if n >= 3:
-            rep_b, _, agree_b = _checked_report(verify_max_bcount, 2, n, mode, bound, rng)
-            gdir = sg.spec.prefix(n)
-            bcount = sg.current.count("b")
-            bcount_ok = (
-                agree_b
-                and rep_b.passed
-                and gdir == exchange_E(op_d(vn))
-                and bcount == rep_b.maximum
-                and gdir in rep_b.argmax
-                and vn in rep_b.argmax
-            )
-        else:
-            bcount, bcount_ok = None, True
-        rows.append(
-            {
-                "order": n,
-                "length": len(sf.current),
-                "length_ok": length_ok,
-                "period": minimal_period(sef.current),
-                "period_ok": period_ok,
-                "bcount": bcount,
-                "bcount_ok": bcount_ok,
-                "passed": length_ok and period_ok and bcount_ok,
-            }
-        )
-    return rows
+    return list(_stream_scoreboard(range(1, order_max + 1), mode, bound, seed))
 
 
 Row = tuple[dict[str, str], dict[str, str]]
@@ -460,7 +440,7 @@ def _census_rows(orders: range, mode: str, bound, seed: int) -> Iterator[Row]:
 
 
 def _stream_table_rows(orders: range, mode: str, bound, seed: int) -> Iterator[Row]:
-    for row in stream_rows(orders[-1], mode, bound, seed):
+    for row in _stream_scoreboard(orders, mode, bound, seed):
         yield {"order": str(row["order"]), "mode": mode}, {
             "length": str(row["length"]),
             "length_ok": _fmt_bool(row["length_ok"]),
@@ -493,9 +473,9 @@ class Theorem:
 _ARITHMETIC_ONLY = ("arithmetic", "both")
 
 THEOREMS: dict[str, Theorem] = {
-    "max-length": Theorem(0, 14, _ANY_MODE, partial(_word_rows, "verify_max_length", 0)),
-    "max-period": Theorem(1, 14, _ANY_MODE, partial(_word_rows, "verify_max_period", 1)),
-    "max-bcount": Theorem(1, 14, _ANY_MODE, partial(_word_rows, "verify_max_bcount", 2)),
+    "max-length": Theorem(0, 14, ANY_MODE, partial(_word_rows, "verify_max_length", 0)),
+    "max-period": Theorem(1, 14, ANY_MODE, partial(_word_rows, "verify_max_period", 1)),
+    "max-bcount": Theorem(1, 14, ANY_MODE, partial(_word_rows, "verify_max_bcount", 2)),
     "continuant-max": Theorem(
         0, 20, _ARITHMETIC_ONLY, partial(_continuant_rows, "verify_continuant_max")
     ),
@@ -506,5 +486,5 @@ THEOREMS: dict[str, Theorem] = {
     "harmonic": Theorem(1, 20, _ARITHMETIC_ONLY, _harmonic_rows, bounded=False),
     # The census builds every image, so it has no arithmetic route.
     "central-count": Theorem(0, 14, ("materialized", "both"), _census_rows),
-    "streams": Theorem(1, 14, _ANY_MODE, _stream_table_rows),
+    "streams": Theorem(1, 14, ANY_MODE, _stream_table_rows),
 }

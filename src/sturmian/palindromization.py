@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 from . import _kernels
 from .arithmetic import minimal_period_from_directive
@@ -239,48 +238,28 @@ def psi_stream_advance(s: PsiStream, steps: int) -> PsiStream:
     return PsiStream(s.spec, emitted, _justin(s.spec.prefix(emitted))[0])
 
 
-def _spec_runs(spec: DirectiveSpec):
-    """Maximal runs (letter, count) of the infinite directive; count None marks
-    the endless run of a one-letter period."""
-    if len(set(spec.period)) == 1:
-        x = spec.period[0]
-        head = spec.preperiod.rstrip(x)
-        for run in _RUN.finditer(head):
-            yield head[run.start()], run.end() - run.start()
-        yield x, None
-        return
-    # Both letters occur in the period, so a run never outlasts two chunks.
-    pending, count = "", 0
-    for chunk in chain((spec.preperiod,), repeat(spec.period)):
-        for run in _RUN.finditer(chunk):
-            x, k = chunk[run.start()], run.end() - run.start()
-            if x == pending:
-                count += k
-            else:
-                if count:
-                    yield pending, count
-                pending, count = x, k
-
-
 def stream_prefix(spec: DirectiveSpec, prefix_len: int) -> Word:
     """First prefix_len letters of the infinite closure image of spec.
 
     The length recurrence of Justin's step finds the shortest directive
     prefix ux whose image has at least prefix_len letters, without building
-    anything.  Then psi(ux) = mu_u(x) psi(u) with |psi(u)| < prefix_len and
-    |mu_u(x)| <= |psi(u)| + 1, so only psi(u) and the first prefix_len
-    letters are built.
+    anything; an image is never shorter than its directive, so ux lies within
+    the first prefix_len letters.  Then psi(ux) = mu_u(x) psi(u) with
+    |psi(u)| < prefix_len and |mu_u(x)| <= |psi(u)| + 1, so besides those
+    directive letters only psi(u) and the first prefix_len letters are built.
     """
     if prefix_len < 0:
         raise ValueError("prefix_len must be >= 0")
     ensure_materializable(prefix_len)
     if prefix_len == 0:
         return ""
+    v = spec.prefix(prefix_len)
     length, la, lb, used = 0, 1, 1, 0
-    for x, k in _spec_runs(spec):
+    for run in _RUN.finditer(v):
+        x, k = v[run.start()], run.end() - run.start()
         lx = la if x == "a" else lb
         need = -(-(prefix_len - length) // lx)  # letters x until the image is long enough
-        if k is None or need <= k:
+        if need <= k:
             used += need - 1
             break
         used += k
@@ -289,6 +268,6 @@ def stream_prefix(spec: DirectiveSpec, prefix_len: int) -> Word:
             lb += k * lx
         else:
             la += k * lx
-    w, ma, mb = _justin(spec.prefix(used))
-    head = ma if spec.letter(used) == "a" else mb
+    w, ma, mb = _justin(v[:used])
+    head = ma if v[used] == "a" else mb
     return head + w[: prefix_len - len(head)]

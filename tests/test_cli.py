@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from sturmian import config, fibonacci, oracle, verify_max_period
+from sturmian import MaterializationLimitError, config, fibonacci, oracle, psi, verify_max_period
 from sturmian.cli import main
 from sturmian.oracle import THEOREMS
 
@@ -140,6 +140,22 @@ def test_arith_errors(capsys):
     assert code == 2 and recs[0]["error_kind"] == "ValueError"
 
 
+
+@pytest.mark.parametrize(
+    "operation, payload",
+    [
+        ("continuant", "[true,false]"),
+        ("cf", "[0,true,2]"),
+        ("continuant", "[1.5]"),
+        ("continuant", '{"a":1}'),
+    ],
+)
+def test_arith_refuses_non_integer_lists(capsys, operation, payload):
+    # JSON booleans decode to bool, a subclass of int; they are not integers here.
+    code, recs = run_json(capsys, "arith", operation, payload)
+    assert code == 2 and recs[0]["error_kind"] == "ValueError"
+    assert recs[0]["result"]["message"] == f"payload must be a JSON integer list, got {payload!r}"
+
 def test_verify_word_theorem_both_modes(capsys):
     code, recs = run_json(capsys, "verify", "max-period", "--n-max", "5")
     assert code == 0
@@ -220,6 +236,41 @@ def test_verify_streams_compares_routes_on_samples(capsys, monkeypatch):
         assert code == 1
         assert _failed_orders(recs) == ["6"]
 
+
+
+@pytest.mark.parametrize("mode", ["both", "materialized"])
+def test_verify_streams_keeps_records_before_a_bound_error(capsys, mode):
+    code, recs = run_json(
+        capsys, "verify", "streams", "--n-max", "6", "--bound", "5", "--mode", mode
+    )
+    assert code == 2
+    assert [r["inputs"]["order"] for r in recs[:-1]] == ["1", "2", "3", "4", "5"]
+    assert all(r["status"] == "ok" and r["result"]["passed"] == "true" for r in recs[:-1])
+    assert recs[-1]["error_kind"] == "BoundExceededError"
+
+
+def test_verify_streams_checks_the_stream_image(capsys, monkeypatch):
+    # A stream image that misses the maximum fails its own statistic only,
+    # even though both routes agree on the enumeration.
+    real = oracle.psi_stream_advance
+
+    def advance(s, steps):
+        out = real(s, steps)
+        if str(out.spec) == "|ab" and out.emitted == 4:
+            out = type(out)(out.spec, out.emitted, out.current + "a")
+        return out
+
+    monkeypatch.setattr(oracle, "psi_stream_advance", advance)
+    code, recs = run_json(capsys, "verify", "streams", "--n-max", "5")
+    assert code == 1
+    flags = [
+        (r["inputs"]["order"], key)
+        for r in recs
+        for key in ("length_ok", "period_ok", "bcount_ok")
+        if r["result"][key] == "false"
+    ]
+    assert flags == [("4", "length_ok")]
+    assert _failed_orders(recs) == ["4"]
 
 def test_verify_continuant_rows(capsys):
     code, recs = run_json(capsys, "verify", "continuant-max", "--n-max", "8")
@@ -410,6 +461,31 @@ def test_max_word_len_flag(capsys):
     code, recs = run_json(capsys, "stream", "|ab", "100")
     assert code == 0 and recs[0]["result"]["length"] == "100"
 
+
+
+def test_max_word_len_environment(capsys, monkeypatch):
+    monkeypatch.setattr(config, "_override", None)
+    monkeypatch.setenv("STURMIAN_MAX_WORD_LEN", "10")
+    assert config.max_word_len() == 10
+    with pytest.raises(MaterializationLimitError, match="length 11 exceeds the materialization cap 10"):
+        psi("abab")
+    code, recs = run_json(capsys, "psi", "abab", "--max-word-len", "100")
+    assert code == 0 and recs[0]["result"]["length"] == "11"
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ("abc", "STURMIAN_MAX_WORD_LEN must be an integer, got 'abc'"),
+        ("0", "STURMIAN_MAX_WORD_LEN must be positive"),
+        ("-3", "STURMIAN_MAX_WORD_LEN must be positive"),
+    ],
+)
+def test_max_word_len_environment_refuses_bad_values(monkeypatch, raw, message):
+    monkeypatch.setattr(config, "_override", None)
+    monkeypatch.setenv("STURMIAN_MAX_WORD_LEN", raw)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        config.max_word_len()
 
 def test_usage_errors_exit_2(capsys):
     assert main(["psi"]) == 2
