@@ -8,7 +8,6 @@ minimal period, slope, and b-count of closure images without building them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .words import Rational, Word, check_word
 

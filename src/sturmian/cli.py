@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 from . import arithmetic, config, families, oracle, palindromization, words
 from .errors import SturmianError
-from .oracle import _fmt_rep
 
 _ELIDE_AT = 120
 
@@ -29,11 +28,27 @@ _INPUT_ARGS = {
 }
 
 
+def _text(value) -> str:
+    """How a record prints a value: a bool as true/false, None as '-', an
+    exponent tuple as [a,b], a list as its items joined by spaces."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "-"
+    if isinstance(value, tuple):
+        return "[" + ",".join(str(x) for x in value) + "]"
+    if isinstance(value, list):
+        return " ".join(_text(x) for x in value)
+    return str(value)
+
+
 @dataclass
 class OutputRecord:
+    """One record; its input and result values are printed by _text."""
+
     command: str
-    inputs: dict[str, str]
-    result: dict[str, str]
+    inputs: dict[str, object]
+    result: dict[str, object]
     status: str = "ok"
     error_kind: str = ""
 
@@ -43,17 +58,17 @@ class OutputRecord:
                 "command": self.command,
                 "status": self.status,
                 "error_kind": self.error_kind,
-                "inputs": self.inputs,
-                "result": self.result,
+                "inputs": {k: _text(v) for k, v in self.inputs.items()},
+                "result": {k: _text(v) for k, v in self.result.items()},
             }
         )
 
     def flat(self) -> dict[str, str]:
         row = {"command": self.command, "status": self.status, "error_kind": self.error_kind}
         for k, v in self.inputs.items():
-            row[f"inputs.{k}"] = v
+            row[f"inputs.{k}"] = _text(v)
         for k, v in self.result.items():
-            row[f"result.{k}"] = v
+            row[f"result.{k}"] = _text(v)
         return row
 
 
@@ -109,11 +124,11 @@ def _cmd_psi(args, em: Emitter) -> int:
             {"directive": _display_word(v, args.full)},
             {
                 "word": _display_word(w, args.full),
-                "length": str(len(w)),
-                "period": str(words.minimal_period(w)),
-                "bcount": str(w.count("b")),
-                "intrep": _fmt_rep(arithmetic.to_integral(w)),
-                "directive_intrep": _fmt_rep(arithmetic.to_integral(v)),
+                "length": len(w),
+                "period": words.minimal_period(w),
+                "bcount": w.count("b"),
+                "intrep": arithmetic.to_integral(w),
+                "directive_intrep": arithmetic.to_integral(v),
             },
         )
     )
@@ -123,26 +138,23 @@ def _cmd_psi(args, em: Emitter) -> int:
 def _cmd_stream(args, em: Emitter) -> int:
     spec = palindromization.DirectiveSpec.parse(args.spec)
     prefix = palindromization.stream_prefix(spec, args.prefix_len)
-    result = {
-        "prefix": _display_word(prefix, args.full),
-        "length": str(len(prefix)),
-    }
+    result: dict[str, object] = {"prefix": _display_word(prefix, args.full), "length": len(prefix)}
     if not spec.is_characteristic():
         missing = "a" if "a" not in spec.period else "b"
         result["note"] = (
             f"not a characteristic word: letter '{missing}' does not recur forever "
             "(it is absent from the period)"
         )
-    em.emit(OutputRecord("stream", {"spec": str(spec), "prefix_len": str(args.prefix_len)}, result))
+    em.emit(OutputRecord("stream", {"spec": spec, "prefix_len": args.prefix_len}, result))
     return 0
 
 
 def _cmd_christoffel(args, em: Emitter) -> int:
     w = families.christoffel(args.p, args.q)
-    result = {
+    result: dict[str, object] = {
         "word": _display_word(w, args.full),
-        "length": str(len(w)),
-        "slope": str(words.slope_eta(w)),
+        "length": len(w),
+        "slope": words.slope_eta(w),
     }
     if args.factor:
         fac = families.christoffel_factorize(w)
@@ -150,40 +162,41 @@ def _cmd_christoffel(args, em: Emitter) -> int:
             {
                 "w1": _display_word(fac.w1, args.full),
                 "w2": _display_word(fac.w2, args.full),
-                "p_inv": str(fac.p_inv),
-                "q_inv": str(fac.q_inv),
+                "p_inv": fac.p_inv,
+                "q_inv": fac.q_inv,
             }
         )
-    em.emit(OutputRecord("christoffel", {"p": str(args.p), "q": str(args.q)}, result))
+    em.emit(OutputRecord("christoffel", {"p": args.p, "q": args.q}, result))
     return 0
 
 
 def _cmd_arith(args, em: Emitter) -> int:
     op = args.operation
-    result: dict[str, str]
+    result: dict[str, object]
     if op == "intrep":
         words.check_word(args.payload)
-        result = {"intrep": _fmt_rep(arithmetic.to_integral(args.payload))}
+        result = {"intrep": arithmetic.to_integral(args.payload)}
     elif op == "continuant":
-        result = {"value": str(arithmetic.continuant(_parse_int_list(args.payload)))}
+        result = {"value": arithmetic.continuant(_parse_int_list(args.payload))}
     elif op == "cf":
         terms = _parse_int_list(args.payload)
         value = arithmetic.cf_eval(terms)
         table = arithmetic.convergents(terms)
         result = {
-            "value": str(value),
-            "num": str(value.num),
-            "den": str(value.den),
-            "convergents": " ".join(f"{a}/{b}" for a, b, _ in table.rows[1:]),
+            "value": value,
+            "num": value.num,
+            "den": value.den,
+            "convergents": [f"{a}/{b}" for a, b, _ in table.rows[1:]],
         }
     elif op == "slope":
         value = arithmetic.slope_from_directive(args.payload)
-        result = {"slope": str(value), "num": str(value.num), "den": str(value.den)}
+        result = {"slope": value, "num": value.num, "den": value.den}
     elif op == "length":
-        result = {"value": str(arithmetic.christoffel_length_from_directive(args.payload))}
+        result = {"value": arithmetic.christoffel_length_from_directive(args.payload)}
     else:
-        result = {"value": str(arithmetic.minimal_period_from_directive(args.payload))}
-    em.emit(OutputRecord("arith", {"operation": op, "payload": args.payload}, result))
+        result = {"value": arithmetic.minimal_period_from_directive(args.payload)}
+    inputs = {"operation": op, "payload": _display_word(args.payload, args.full)}
+    em.emit(OutputRecord("arith", inputs, result))
     return 0
 
 
@@ -201,7 +214,7 @@ def _cmd_verify(args, em: Emitter) -> int:
     code = 0
     for inputs, result in theorem.rows(orders, mode, args.bound, args.seed):
         em.emit(OutputRecord("verify", {"theorem": name, **inputs}, result))
-        code |= result["passed"] != "true"
+        code |= not result["passed"]
     return code
 
 

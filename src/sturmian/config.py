@@ -14,9 +14,11 @@ from .errors import MaterializationLimitError
 
 DEFAULT_MAX_WORD_LEN = 1 << 24
 
-# Default ceilings for the exhaustive verifiers (per enumeration order n).
+# Default ceilings for the exhaustive verifiers (per enumeration order n),
+# and for the image length the central-word census walks to.
 MATERIALIZED_ORDER_BOUND = 14
 ARITHMETIC_ORDER_BOUND = 22
+CENSUS_LENGTH_BOUND = 16
 
 _override: int | None = None
 

@@ -11,7 +11,7 @@ from .errors import (
     NotStandardError,
     SturmianError,
 )
-from .palindromization import directive_word_of, p_x, psi
+from .palindromization import directive_word_of, p_x
 from .words import Word, check_word
 
 

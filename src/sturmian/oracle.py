@@ -26,7 +26,7 @@ from .arithmetic import (
     psi_stats_from_directive,
     to_integral,
 )
-from .config import ARITHMETIC_ORDER_BOUND, MATERIALIZED_ORDER_BOUND
+from .config import ARITHMETIC_ORDER_BOUND, CENSUS_LENGTH_BOUND, MATERIALIZED_ORDER_BOUND
 from .errors import BoundExceededError
 from .families import count_central
 from .palindromization import (
@@ -36,8 +36,6 @@ from .palindromization import (
     op_c,
     op_d,
     psi,
-    psi_stream,
-    psi_stream_advance,
 )
 from .words import Word, fibonacci
 
@@ -257,7 +255,7 @@ def harmonic_at(n: int) -> tuple[int, int, int, bool]:
     return period, modulus, residue, residue in (1 % modulus, modulus - 1)
 
 
-def central_length_census(n_max: int, bound: int = 16) -> dict[int, int]:
+def central_length_census(n_max: int, bound: int | None = None) -> dict[int, int]:
     """How many distinct closure images have each length 0..n_max.
 
     Walks the directive tree, pruning once an image outgrows n_max (images
@@ -265,6 +263,7 @@ def central_length_census(n_max: int, bound: int = 16) -> dict[int, int]:
     directives give distinct images.
     """
     _check_order("central-count", n_max, "n_max")
+    bound = CENSUS_LENGTH_BOUND if bound is None else bound
     if n_max > bound:
         raise BoundExceededError(f"length {n_max} exceeds the census bound {bound}")
     counts = [0] * (n_max + 1)
@@ -281,7 +280,7 @@ def central_length_census(n_max: int, bound: int = 16) -> dict[int, int]:
 # One row per extremal stream: (field, statistic, verifier, directive, first
 # order).  From its first order on, the stream's image must attain the
 # statistic's maximum, and its directive prefix must be in the argmax.  The
-# verifier is looked up by name, as the row functions below do.
+# verifier is looked up by name, as the checks below do.
 _STREAMS = (
     ("length", 0, "verify_max_length", DirectiveSpec.parse("|ab"), 1),
     ("period", 1, "verify_max_period", DirectiveSpec.parse("|ba"), 1),
@@ -289,26 +288,19 @@ _STREAMS = (
 )
 
 
-def _stream_scoreboard(
-    orders: range, mode: str, bound: int | None, seed: int
-) -> Iterator[dict[str, object]]:
-    """Yield the streams scoreboard one order at a time; see stream_rows."""
-    rng = random.Random(seed)
-    streams = [psi_stream(spec) for _, _, _, spec, _ in _STREAMS]
-    for n in orders:
-        streams = [psi_stream_advance(s, 1) for s in streams]
-        row: dict[str, object] = {"order": n}
-        for (field, stat, verifier, _, first), s in zip(_STREAMS, streams):
-            if n < first:
-                row[field], row[field + "_ok"] = None, True
-                continue
-            rep, _, agree = _checked_report(globals()[verifier], stat, n, mode, bound, rng)
-            row[field] = value = _statistic(s.current, stat)
-            row[field + "_ok"] = (
-                agree and rep.passed and value == rep.maximum and s.spec.prefix(n) in rep.argmax
-            )
-        row["passed"] = all(row[field + "_ok"] for field, *_ in _STREAMS)
-        yield row
+def _stream_check(n: int, mode: str, bound: int | None, rng: random.Random) -> dict[str, object]:
+    """One order of the streams scoreboard; see stream_rows."""
+    row: dict[str, object] = {}
+    for field, stat, verifier, spec, first in _STREAMS:
+        if n < first:
+            row[field], row[field + "_ok"] = None, True
+            continue
+        rep, _, agree = _checked_report(globals()[verifier], stat, n, mode, bound, rng)
+        prefix = spec.prefix(n)
+        row[field] = value = _statistic(psi(prefix), stat)
+        row[field + "_ok"] = agree and rep.passed and value == rep.maximum and prefix in rep.argmax
+    row["passed"] = all(row[field + "_ok"] for field, *_ in _STREAMS)
+    return row
 
 
 def stream_rows(
@@ -324,38 +316,19 @@ def stream_rows(
     `mode`, as the word theorems check them.
     """
     _check_order("streams", order_max, "order_max")
-    return list(_stream_scoreboard(range(1, order_max + 1), mode, bound, seed))
+    rng = random.Random(seed)
+    return [{"order": n, **_stream_check(n, mode, bound, rng)} for n in range(1, order_max + 1)]
 
 
-Row = tuple[dict[str, str], dict[str, str]]
+_SAMPLES = 64
 
 
-def _fmt_rep(rep) -> str:
-    return "[" + ",".join(str(x) for x in rep) + "]"
-
-
-def _fmt_bool(flag) -> str:
-    return "true" if flag else "false"
-
-
-def _report_fields(rep: ExtremalReport, fmt) -> dict[str, str]:
-    return {
-        "maximum": str(rep.maximum),
-        "expected_max": str(rep.expected_max),
-        "argmax": " ".join(fmt(x) for x in rep.argmax),
-        "expected_argmax": " ".join(fmt(x) for x in rep.expected_argmax),
-        "argmax_size": str(len(rep.argmax)),
-    }
-
-
-def _sampled_agreement(
-    n: int, stat: int, expected: tuple, rng: random.Random, samples: int = 64
-) -> bool:
-    """Spot-check route agreement above the materialized bound: random directives
-    plus the expected argmax, each measured by string scan and by continuant.
-    Where fewer directives exist than that, all of them are checked."""
+def _sampled_agreement(n: int, stat: int, expected: tuple, rng: random.Random) -> bool:
+    """Spot-check route agreement above the materialized bound: _SAMPLES random
+    directives plus the expected argmax, each measured by string scan and by
+    continuant.  Where fewer directives exist than that, all of them are checked."""
     pool = set(expected)
-    want = min(samples + len(pool), 2 ** (n - 1 if stat == 2 else n))
+    want = min(_SAMPLES + len(pool), 2 ** (n - 1 if stat == 2 else n))
     while len(pool) < want:
         head = "a" if stat == 2 else rng.choice("ab")
         pool.add(head + "".join(rng.choice("ab") for _ in range(n - 1)))
@@ -382,74 +355,48 @@ def _checked_report(
     return rep, "sampled", _sampled_agreement(n, stat, rep.expected_argmax, rng)
 
 
-# The row functions look their verifier up by name on every call instead of
-# holding it: tracers and tests rebind this module's globals.
+# The checks below return one order's result fields as plain values: ints,
+# bools, None, exponent tuples and lists of witnesses.  They look their
+# verifier up by name on every call instead of holding it: tracers and tests
+# rebind this module's globals.
 
 
-def _word_rows(
-    verifier: str, stat: int, orders: range, mode: str, bound, seed: int
-) -> Iterator[Row]:
-    verify = globals()[verifier]
-    rng = random.Random(seed)
-    for n in orders:
-        rep, check, agree = _checked_report(verify, stat, n, mode, bound, rng)
-        yield {"order": str(n), "mode": mode}, {
-            **_report_fields(rep, str),
-            "check": check,
-            "agreement": _fmt_bool(agree),
-            "passed": _fmt_bool(rep.passed and agree),
-        }
+def _report_fields(rep: ExtremalReport) -> dict[str, object]:
+    return {
+        "maximum": rep.maximum,
+        "expected_max": rep.expected_max,
+        "argmax": list(rep.argmax),
+        "expected_argmax": list(rep.expected_argmax),
+        "argmax_size": len(rep.argmax),
+    }
 
 
-def _continuant_rows(verifier: str, orders: range, mode: str, bound, seed: int) -> Iterator[Row]:
-    verify = globals()[verifier]
-    for n in orders:
-        rep = verify(n, bound)
-        yield {"order": str(n), "mode": "arithmetic"}, {
-            **_report_fields(rep, _fmt_rep),
-            "passed": _fmt_bool(rep.passed),
-        }
+def _word_check(verifier: str, stat: int, n: int, mode: str, bound, rng) -> dict[str, object]:
+    rep, check, agree = _checked_report(globals()[verifier], stat, n, mode, bound, rng)
+    passed = rep.passed and agree
+    return {**_report_fields(rep), "check": check, "agreement": agree, "passed": passed}
 
 
-def _fib_lemma_rows(orders: range, mode: str, bound, seed: int) -> Iterator[Row]:
-    for n in orders:
-        yield {"order": str(n), "mode": "arithmetic"}, {"passed": _fmt_bool(fib_lemma_holds_at(n))}
+def _continuant_check(verifier: str, n: int, mode: str, bound, rng) -> dict[str, object]:
+    rep = globals()[verifier](n, bound)
+    return {**_report_fields(rep), "passed": rep.passed}
 
 
-def _harmonic_rows(orders: range, mode: str, bound, seed: int) -> Iterator[Row]:
-    for n in orders:
-        period, modulus, residue, ok = harmonic_at(n)
-        yield {"order": str(n), "mode": "arithmetic"}, {
-            "period": str(period),
-            "modulus": str(modulus),
-            "residue": str(residue),
-            "passed": _fmt_bool(ok),
-        }
+def _fib_lemma_check(n: int, mode: str, bound, rng) -> dict[str, object]:
+    return {"passed": fib_lemma_holds_at(n)}
 
 
-def _census_rows(orders: range, mode: str, bound, seed: int) -> Iterator[Row]:
-    n_max = orders[-1]
-    census = central_length_census(n_max) if bound is None else central_length_census(n_max, bound)
-    for k in orders:
-        expected = count_central(k)
-        yield {"length": str(k), "mode": "census"}, {
-            "count": str(census[k]),
-            "expected": str(expected),
-            "passed": _fmt_bool(census[k] == expected),
-        }
+def _harmonic_check(n: int, mode: str, bound, rng) -> dict[str, object]:
+    period, modulus, residue, ok = harmonic_at(n)
+    return {"period": period, "modulus": modulus, "residue": residue, "passed": ok}
 
 
-def _stream_table_rows(orders: range, mode: str, bound, seed: int) -> Iterator[Row]:
-    for row in _stream_scoreboard(orders, mode, bound, seed):
-        yield {"order": str(row["order"]), "mode": mode}, {
-            "length": str(row["length"]),
-            "length_ok": _fmt_bool(row["length_ok"]),
-            "period": str(row["period"]),
-            "period_ok": _fmt_bool(row["period_ok"]),
-            "bcount": "-" if row["bcount"] is None else str(row["bcount"]),
-            "bcount_ok": _fmt_bool(row["bcount_ok"]),
-            "passed": _fmt_bool(row["passed"]),
-        }
+def _census_check(k: int, mode: str, bound, rng) -> dict[str, object]:
+    count, expected = central_length_census(k, bound)[k], count_central(k)
+    return {"count": count, "expected": expected, "passed": count == expected}
+
+
+Row = tuple[dict[str, object], dict[str, object]]
 
 
 @dataclass(frozen=True)
@@ -458,33 +405,49 @@ class Theorem:
 
     It checks the orders first..n_max (n_max defaults to default_n_max) and
     accepts the --mode values in `modes`; `bounded` is False for a theorem
-    that enumerates nothing and so takes no --bound.  rows(orders, mode,
-    bound, seed) yields the inputs and result fields of one record per
-    order, with result["passed"] "true" or "false".
+    that enumerates nothing and so takes no --bound.  check(n, mode, bound,
+    rng) checks one order and returns its result fields, with "passed" a
+    bool.  A record's inputs name its order `index` and show `route` as the
+    mode when the theorem has one fixed route.
     """
 
     first: int
     default_n_max: int
     modes: tuple[str, ...]
-    rows: Callable[[range, str, int | None, int], Iterator[Row]]
+    check: Callable[[int, str, int | None, random.Random], dict[str, object]]
+    route: str | None = None
     bounded: bool = True
+    index: str = "order"
+
+    def rows(self, orders: range, mode: str, bound: int | None, seed: int) -> Iterator[Row]:
+        """Yield the inputs and result fields of one record per order, as
+        soon as that order is checked; sampled checks share one seeded rng."""
+        rng = random.Random(seed)
+        for n in orders:
+            yield {self.index: n, "mode": self.route or mode}, self.check(n, mode, bound, rng)
 
 
 _ARITHMETIC_ONLY = ("arithmetic", "both")
 
 THEOREMS: dict[str, Theorem] = {
-    "max-length": Theorem(0, 14, ANY_MODE, partial(_word_rows, "verify_max_length", 0)),
-    "max-period": Theorem(1, 14, ANY_MODE, partial(_word_rows, "verify_max_period", 1)),
-    "max-bcount": Theorem(1, 14, ANY_MODE, partial(_word_rows, "verify_max_bcount", 2)),
+    "max-length": Theorem(0, 14, ANY_MODE, partial(_word_check, "verify_max_length", 0)),
+    "max-period": Theorem(1, 14, ANY_MODE, partial(_word_check, "verify_max_period", 1)),
+    "max-bcount": Theorem(1, 14, ANY_MODE, partial(_word_check, "verify_max_bcount", 2)),
     "continuant-max": Theorem(
-        0, 20, _ARITHMETIC_ONLY, partial(_continuant_rows, "verify_continuant_max")
+        0, 20, _ARITHMETIC_ONLY, partial(_continuant_check, "verify_continuant_max"), "arithmetic"
     ),
     "period-continuant-max": Theorem(
-        2, 20, _ARITHMETIC_ONLY, partial(_continuant_rows, "verify_period_continuant_max")
+        2,
+        20,
+        _ARITHMETIC_ONLY,
+        partial(_continuant_check, "verify_period_continuant_max"),
+        "arithmetic",
     ),
-    "fib-lemma": Theorem(1, 60, _ARITHMETIC_ONLY, _fib_lemma_rows, bounded=False),
-    "harmonic": Theorem(1, 20, _ARITHMETIC_ONLY, _harmonic_rows, bounded=False),
+    "fib-lemma": Theorem(1, 60, _ARITHMETIC_ONLY, _fib_lemma_check, "arithmetic", bounded=False),
+    "harmonic": Theorem(1, 20, _ARITHMETIC_ONLY, _harmonic_check, "arithmetic", bounded=False),
     # The census builds every image, so it has no arithmetic route.
-    "central-count": Theorem(0, 14, ("materialized", "both"), _census_rows),
-    "streams": Theorem(1, 14, ANY_MODE, _stream_table_rows),
+    "central-count": Theorem(
+        0, 14, ("materialized", "both"), _census_check, "census", index="length"
+    ),
+    "streams": Theorem(1, 14, ANY_MODE, _stream_check),
 }

@@ -252,15 +252,12 @@ def test_verify_streams_keeps_records_before_a_bound_error(capsys, mode):
 def test_verify_streams_checks_the_stream_image(capsys, monkeypatch):
     # A stream image that misses the maximum fails its own statistic only,
     # even though both routes agree on the enumeration.
-    real = oracle.psi_stream_advance
+    real = oracle.psi
 
-    def advance(s, steps):
-        out = real(s, steps)
-        if str(out.spec) == "|ab" and out.emitted == 4:
-            out = type(out)(out.spec, out.emitted, out.current + "a")
-        return out
+    def image(v):
+        return real(v) + "a" if v == "abab" else real(v)
 
-    monkeypatch.setattr(oracle, "psi_stream_advance", advance)
+    monkeypatch.setattr(oracle, "psi", image)
     code, recs = run_json(capsys, "verify", "streams", "--n-max", "5")
     assert code == 1
     flags = [
@@ -325,8 +322,19 @@ def test_verify_bound_exceeded(capsys):
     code, recs = run_json(
         capsys, "verify", "central-count", "--bound", "0", "--n-max", "3"
     )
-    assert code == 2 and len(recs) == 1
-    assert recs[0]["error_kind"] == "BoundExceededError"
+    assert code == 2 and len(recs) == 2
+    assert recs[0]["inputs"]["length"] == "0" and recs[0]["result"]["passed"] == "true"
+    assert recs[1]["error_kind"] == "BoundExceededError"
+
+
+def test_verify_census_keeps_records_before_a_bound_error(capsys):
+    # The census runs per length, so the lengths below the bound print first.
+    code, recs = run_json(capsys, "verify", "central-count", "--n-max", "17")
+    assert code == 2
+    assert [r["inputs"]["length"] for r in recs[:-1]] == [str(k) for k in range(17)]
+    assert all(r["status"] == "ok" and r["result"]["passed"] == "true" for r in recs[:-1])
+    assert recs[-1]["error_kind"] == "BoundExceededError"
+    assert recs[-1]["result"]["message"] == "length 17 exceeds the census bound 16"
 
 
 @pytest.mark.parametrize(
@@ -447,6 +455,18 @@ def test_elision_and_full(capsys):
     full_word = recs[0]["result"]["word"]
     assert len(full_word) == fibonacci(17) - 2
     assert full_word.startswith(word[:117])
+
+
+def test_arith_payload_elision_and_full(capsys):
+    payload = "ab" * 70
+    elided = payload[:117] + "..."
+    code, recs = run_json(capsys, "arith", "intrep", payload)
+    assert code == 0 and recs[0]["inputs"]["payload"] == elided
+    assert recs[0]["result"]["intrep"] == "[0" + ",1" * 140 + "]"
+    code, recs = run_json(capsys, "arith", "intrep", payload + "c")
+    assert code == 2 and recs[0]["inputs"]["payload"] == elided
+    code, recs = run_json(capsys, "arith", "intrep", payload, "--full")
+    assert code == 0 and recs[0]["inputs"]["payload"] == payload
 
 
 def test_max_word_len_flag(capsys):
