@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import Rational, Word, check_word
+from .words import Rational, Word, check_ints, check_word
 
 IntRep = tuple[int, ...]
 CfTerms = tuple[int, ...]
@@ -38,7 +38,7 @@ def to_integral(v: Word) -> IntRep:
 
 def validate_integral(rep) -> IntRep:
     """Canonical-form gate: first entry >= 0, later entries >= 1, () for the empty word."""
-    out = tuple(int(x) for x in rep)
+    out = check_ints(rep)
     if not out:
         return out
     if out == (0,):
@@ -67,14 +67,14 @@ def continuant(terms) -> int:
     17
     """
     prev, cur = 0, 1
-    for t in terms:
-        prev, cur = cur, int(t) * cur + prev
+    for t in check_ints(terms):
+        prev, cur = cur, t * cur + prev
     return cur
 
 
 def validate_cf(terms) -> CfTerms:
     """Continued-fraction terms: non-empty, head >= 0, later terms >= 1."""
-    out = tuple(int(t) for t in terms)
+    out = check_ints(terms)
     if not out:
         raise ValueError("a continued fraction needs at least one term")
     if out[0] < 0:

@@ -12,7 +12,7 @@ from .errors import (
     SturmianError,
 )
 from .palindromization import directive_word_of, p_x
-from .words import Word, check_word
+from .words import Word, check_ints, check_word
 
 
 def is_central(w: Word) -> bool:
@@ -87,7 +87,7 @@ def standard_from_coefficients(coefficients) -> StandardSequence:
     >>> standard_from_coefficients((1, 1, 1)).term(3)
     'abaab'
     """
-    coeffs = tuple(int(c) for c in coefficients)
+    coeffs = check_ints(coefficients)
     if coeffs and coeffs[0] < 0:
         raise ValueError("the first coefficient must be >= 0")
     if any(c < 1 for c in coeffs[1:]):

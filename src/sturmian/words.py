@@ -30,6 +30,15 @@ def check_letter(x: str) -> str:
     return x
 
 
+def check_ints(terms) -> tuple[int, ...]:
+    """Tuple of terms, each an int and not a bool; a float or str is refused, never truncated."""
+    out = tuple(terms)
+    for t in out:
+        if type(t) is not int:
+            raise ValueError(f"terms must be integers, got {t!r}")
+    return out
+
+
 @dataclass(frozen=True)
 class Rational:
     """Irreducible non-negative fraction; the infinite slope is canonically 1/0."""

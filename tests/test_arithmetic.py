@@ -135,6 +135,24 @@ def test_cf_validation():
     assert validate_cf((0, 1)) == (0, 1)
 
 
+@pytest.mark.parametrize(
+    "call, terms",
+    [
+        (cf_eval, (0, 2.5)),
+        (continuant, (1.5, 2)),
+        (continuant, (1, True)),
+        (from_integral, (0, 1.9)),
+        (validate_integral, (2, 1.0)),
+        (validate_cf, (0, "2")),
+        (convergents, (0, 2, False)),
+        (standard_from_coefficients, (1.7, 1)),
+    ],
+)
+def test_non_integer_terms_are_refused_not_truncated(call, terms):
+    with pytest.raises(ValueError, match="must be integers"):
+        call(terms)
+
+
 @given(cf_terms)
 def test_cf_eval_is_reduced_and_matches_float(terms):
     val = cf_eval(terms)

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import naive
-from sturmian import _kernels
+from sturmian import _kernels, psi, psi_stats_from_directive
 from sturmian._kernels import arith_scan, lps_length, min_period
 
 
@@ -62,6 +62,34 @@ def test_arith_scan_matches_brute_force():
         for stat in (0, 1, 2):
             for a_start in (False, True):
                 assert arith_scan(n, stat, a_start) == _scan_brute(n, stat, a_start)
+
+
+@pytest.mark.parametrize(
+    "w, lps, period",
+    [
+        (psi("ab" * 10), 28655, 10946),  # the order-20 alternating image; F(19) = 10946
+        ("a" * 10**5, 10**5, 1),
+        ("ab" * 5 * 10**4, 10**5 - 1, 2),
+    ],
+    ids=["fibonacci-20", "a-power", "ab-power"],
+)
+def test_string_kernels_on_long_words(w, lps, period):
+    assert lps_length(w) == lps
+    assert min_period(w) == period
+
+
+@pytest.mark.parametrize("n", range(10, 15))
+def test_arith_scan_matches_run_length_continuants(n):
+    """Above the brute-force orders, scan psi_stats_from_directive (no kernel code)."""
+    stats = {v: psi_stats_from_directive(v) for v in naive.all_words(n)}
+    for stat in (0, 1, 2):
+        for a_start in (False, True):
+            vals = {v: s[stat] for v, s in stats.items() if not a_start or v[0] == "a"}
+            best = max(vals.values())
+            assert arith_scan(n, stat, a_start) == (
+                best,
+                sorted(v for v, val in vals.items() if val == best),
+            )
 
 
 def test_arith_scan_rejects_bad_arguments():
