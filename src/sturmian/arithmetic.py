@@ -119,8 +119,6 @@ def convergents(terms) -> ConvergentTable:
 def _slope_terms(rep: IntRep) -> CfTerms:
     if not rep:
         rep = (0,)
-    if len(rep) == 1:
-        return (rep[0] + 1,)
     return rep[:-1] + (rep[-1] + 1,)
 
 

@@ -8,17 +8,17 @@ request itself was rejected (usage, domain, or resource errors).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import dataclass, field
 
 from . import arithmetic, config, families, oracle, palindromization, words
 from .errors import SturmianError
 
 _ELIDE_AT = 120
 
-# The parsed arguments an error record keeps as its inputs: those that the
-# command's ok-records show.
+# The parsed arguments a record shows as its inputs: every record of psi,
+# stream, christoffel and arith, and every error record.
 _INPUT_ARGS = {
     "psi": ("directive",),
     "stream": ("spec", "prefix_len"),
@@ -42,60 +42,30 @@ def _text(value) -> str:
     return str(value)
 
 
-@dataclass
-class OutputRecord:
-    """One record; its input and result values are printed by _text."""
-
-    command: str
-    inputs: dict[str, object]
-    result: dict[str, object]
-    status: str = "ok"
-    error_kind: str = ""
-
-    def as_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "status": self.status,
-                "error_kind": self.error_kind,
-                "inputs": {k: _text(v) for k, v in self.inputs.items()},
-                "result": {k: _text(v) for k, v in self.result.items()},
-            }
-        )
-
-    def flat(self) -> dict[str, str]:
-        row = {"command": self.command, "status": self.status, "error_kind": self.error_kind}
-        for k, v in self.inputs.items():
-            row[f"inputs.{k}"] = _text(v)
-        for k, v in self.result.items():
-            row[f"result.{k}"] = _text(v)
-        return row
-
-
-@dataclass
 class Emitter:
-    fmt: str
-    records: list[OutputRecord] = field(default_factory=list)
+    """Prints records: each JSON line at once, or every TSV row under one
+    header, the union of their columns in first-seen order, at close."""
 
-    def emit(self, rec: OutputRecord) -> None:
+    def __init__(self, fmt: str) -> None:
+        self.fmt = fmt
+        self.rows: list[dict[str, str]] = []
+
+    def emit(self, command: str, inputs: dict, result: dict, status="ok", error_kind="") -> None:
+        inputs = {k: _text(v) for k, v in inputs.items()}
+        result = {k: _text(v) for k, v in result.items()}
+        head = {"command": command, "status": status, "error_kind": error_kind}
         if self.fmt == "json":
-            print(rec.as_json())
-        else:
-            self.records.append(rec)
+            print(json.dumps({**head, "inputs": inputs, "result": result}))
+            return
+        row = {**head, **{f"inputs.{k}": v for k, v in inputs.items()}}
+        self.rows.append({**row, **{f"result.{k}": v for k, v in result.items()}})
 
     def close(self) -> None:
-        if self.fmt != "tsv" or not self.records:
+        if not self.rows:
             return
-        columns: list[str] = []
-        flats = []
-        for rec in self.records:
-            row = rec.flat()
-            flats.append(row)
-            for key in row:
-                if key not in columns:
-                    columns.append(key)
+        columns = list(dict.fromkeys(key for row in self.rows for key in row))
         print("\t".join(columns))
-        for row in flats:
+        for row in self.rows:
             print("\t".join(row.get(col, "") for col in columns))
 
 
@@ -103,6 +73,11 @@ def _display_word(w: str, full: bool) -> str:
     if full or len(w) <= _ELIDE_AT:
         return w
     return w[: _ELIDE_AT - 3] + "..."
+
+
+def _inputs(args) -> dict[str, str]:
+    full = getattr(args, "full", False)
+    return {key: _display_word(str(getattr(args, key)), full) for key in _INPUT_ARGS[args.command]}
 
 
 def _parse_int_list(payload: str) -> tuple[int, ...]:
@@ -115,27 +90,23 @@ def _parse_int_list(payload: str) -> tuple[int, ...]:
     return tuple(data)
 
 
-def _cmd_psi(args, em: Emitter) -> int:
+# Each command yields its records as (inputs, result) rows; main emits them.
+
+
+def _cmd_psi(args):
     v = args.directive
     w = palindromization.psi(v)
-    em.emit(
-        OutputRecord(
-            "psi",
-            {"directive": _display_word(v, args.full)},
-            {
-                "word": _display_word(w, args.full),
-                "length": len(w),
-                "period": words.minimal_period(w),
-                "bcount": w.count("b"),
-                "intrep": arithmetic.to_integral(w),
-                "directive_intrep": arithmetic.to_integral(v),
-            },
-        )
-    )
-    return 0
+    yield _inputs(args), {
+        "word": _display_word(w, args.full),
+        "length": len(w),
+        "period": words.minimal_period(w),
+        "bcount": w.count("b"),
+        "intrep": arithmetic.to_integral(w),
+        "directive_intrep": arithmetic.to_integral(v),
+    }
 
 
-def _cmd_stream(args, em: Emitter) -> int:
+def _cmd_stream(args):
     spec = palindromization.DirectiveSpec.parse(args.spec)
     prefix = palindromization.stream_prefix(spec, args.prefix_len)
     result: dict[str, object] = {"prefix": _display_word(prefix, args.full), "length": len(prefix)}
@@ -145,11 +116,10 @@ def _cmd_stream(args, em: Emitter) -> int:
             f"not a characteristic word: letter '{missing}' does not recur forever "
             "(it is absent from the period)"
         )
-    em.emit(OutputRecord("stream", {"spec": spec, "prefix_len": args.prefix_len}, result))
-    return 0
+    yield _inputs(args), result
 
 
-def _cmd_christoffel(args, em: Emitter) -> int:
+def _cmd_christoffel(args):
     w = families.christoffel(args.p, args.q)
     result: dict[str, object] = {
         "word": _display_word(w, args.full),
@@ -166,11 +136,10 @@ def _cmd_christoffel(args, em: Emitter) -> int:
                 "q_inv": fac.q_inv,
             }
         )
-    em.emit(OutputRecord("christoffel", {"p": args.p, "q": args.q}, result))
-    return 0
+    yield _inputs(args), result
 
 
-def _cmd_arith(args, em: Emitter) -> int:
+def _cmd_arith(args):
     op = args.operation
     result: dict[str, object]
     if op == "intrep":
@@ -195,12 +164,10 @@ def _cmd_arith(args, em: Emitter) -> int:
         result = {"value": arithmetic.christoffel_length_from_directive(args.payload)}
     else:
         result = {"value": arithmetic.minimal_period_from_directive(args.payload)}
-    inputs = {"operation": op, "payload": _display_word(args.payload, args.full)}
-    em.emit(OutputRecord("arith", inputs, result))
-    return 0
+    yield _inputs(args), result
 
 
-def _cmd_verify(args, em: Emitter) -> int:
+def _cmd_verify(args):
     name, mode = args.theorem, args.mode
     theorem = oracle.THEOREMS[name]
     n_max = theorem.default_n_max if args.n_max is None else args.n_max
@@ -211,18 +178,16 @@ def _cmd_verify(args, em: Emitter) -> int:
     if args.bound is not None and not theorem.bounded:
         raise ValueError(f"{name} enumerates nothing, so it takes no --bound")
     orders = range(theorem.first, n_max + 1)
-    code = 0
     for inputs, result in theorem.rows(orders, mode, args.bound, args.seed):
-        em.emit(OutputRecord("verify", {"theorem": name, **inputs}, result))
-        code |= not result["passed"]
-    return code
+        yield {"theorem": name, **inputs}, result
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("json", "tsv"), default="json", help="output encoding"
-    )
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "tsv"), default="json", help="output encoding")
+    # arith builds no word, so it reads no cap.
+    common = argparse.ArgumentParser(add_help=False, parents=[fmt])
     common.add_argument(
         "--max-word-len",
         type=int,
@@ -279,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser(
-        "arith", parents=[common, full], help="exponent-list and continuant arithmetic"
+        "arith", parents=[fmt, full], help="exponent-list and continuant arithmetic"
     )
     p.add_argument(
         "operation", choices=("intrep", "continuant", "cf", "slope", "length", "period")
@@ -299,24 +264,17 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     saved_cap = config._override
     em = Emitter(args.format)
+    code = 0
+    # Rows are produced lazily, so the cap override spans the whole loop.
     try:
-        if args.max_word_len is not None:
-            config.set_max_word_len(args.max_word_len)
-        code = args.func(args, em)
+        cap = getattr(args, "max_word_len", None)
+        if cap is not None:
+            config.set_max_word_len(cap)
+        for inputs, result in args.func(args):
+            em.emit(args.command, inputs, result)
+            code |= result.get("passed") is False
     except (SturmianError, ValueError) as exc:
-        inputs = {
-            key: _display_word(str(getattr(args, key)), getattr(args, "full", False))
-            for key in _INPUT_ARGS[args.command]
-        }
-        em.emit(
-            OutputRecord(
-                args.command,
-                inputs,
-                {"message": str(exc)},
-                status="error",
-                error_kind=type(exc).__name__,
-            )
-        )
+        em.emit(args.command, _inputs(args), {"message": str(exc)}, "error", type(exc).__name__)
         code = 2
     finally:
         config._override = saved_cap

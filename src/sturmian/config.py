@@ -26,7 +26,8 @@ _override: int | None = None
 def set_max_word_len(limit: int) -> None:
     """Process-wide override of the materialization cap."""
     global _override
-    limit = int(limit)
+    if type(limit) is not int:
+        raise ValueError(f"materialization cap must be an integer, got {limit!r}")
     if limit <= 0:
         raise ValueError("materialization cap must be positive")
     _override = limit

@@ -277,27 +277,29 @@ def central_length_census(n_max: int, bound: int | None = None) -> dict[int, int
     return dict(enumerate(counts))
 
 
-# One row per extremal stream: (field, statistic, verifier, directive, first
-# order).  From its first order on, the stream's image must attain the
-# statistic's maximum, and its directive prefix must be in the argmax.  The
-# verifier is looked up by name, as the checks below do.
+# One row per extremal stream: (field, statistic, directive, first order).
+# From its first order on, the stream's image must attain the statistic's
+# maximum, and its directive prefix must be in the argmax.
 _STREAMS = (
-    ("length", 0, "verify_max_length", DirectiveSpec.parse("|ab"), 1),
-    ("period", 1, "verify_max_period", DirectiveSpec.parse("|ba"), 1),
-    ("bcount", 2, "verify_max_bcount", DirectiveSpec.parse("abb|ab"), 3),
+    ("length", 0, DirectiveSpec.parse("|ab"), 1),
+    ("period", 1, DirectiveSpec.parse("|ba"), 1),
+    ("bcount", 2, DirectiveSpec.parse("abb|ab"), 3),
 )
 
 
 def _stream_check(n: int, mode: str, bound: int | None, rng: random.Random) -> dict[str, object]:
     """One order of the streams scoreboard; see stream_rows."""
     row: dict[str, object] = {}
-    for field, stat, verifier, spec, first in _STREAMS:
+    for field, stat, spec, first in _STREAMS:
         if n < first:
             row[field], row[field + "_ok"] = None, True
             continue
-        rep, _, agree = _checked_report(globals()[verifier], stat, n, mode, bound, rng)
+        rep, _, agree = _checked_report(stat, n, mode, bound, rng)
         prefix = spec.prefix(n)
-        row[field] = value = _statistic(psi(prefix), stat)
+        if mode == "arithmetic":
+            row[field] = value = psi_stats_from_directive(prefix)[stat]
+        else:
+            row[field] = value = _statistic(psi(prefix), stat)
         row[field + "_ok"] = agree and rep.passed and value == rep.maximum and prefix in rep.argmax
     row["passed"] = all(row[field + "_ok"] for field, *_ in _STREAMS)
     return row
@@ -338,7 +340,7 @@ def _sampled_agreement(n: int, stat: int, expected: tuple, rng: random.Random) -
 
 
 def _checked_report(
-    verify, stat: int, n: int, mode: str, bound: int | None, rng: random.Random
+    stat: int, n: int, mode: str, bound: int | None, rng: random.Random
 ) -> tuple[ExtremalReport, str, bool]:
     """One order of a word theorem: (report, check, agreement).
 
@@ -346,6 +348,8 @@ def _checked_report(
     report with the materialized one up to the materialized bound (or
     `bound`), and above it checks the routes on sampled directives.
     """
+    # Looked up per call, so a tracer or test that rebinds a verifier is seen.
+    verify = (verify_max_length, verify_max_period, verify_max_bcount)[stat]
     if mode != "both":
         return verify(n, mode, bound), mode, True
     if n <= (MATERIALIZED_ORDER_BOUND if bound is None else bound):
@@ -356,9 +360,7 @@ def _checked_report(
 
 
 # The checks below return one order's result fields as plain values: ints,
-# bools, None, exponent tuples and lists of witnesses.  They look their
-# verifier up by name on every call instead of holding it: tracers and tests
-# rebind this module's globals.
+# bools, None, exponent tuples and lists of witnesses.
 
 
 def _report_fields(rep: ExtremalReport) -> dict[str, object]:
@@ -371,14 +373,14 @@ def _report_fields(rep: ExtremalReport) -> dict[str, object]:
     }
 
 
-def _word_check(verifier: str, stat: int, n: int, mode: str, bound, rng) -> dict[str, object]:
-    rep, check, agree = _checked_report(globals()[verifier], stat, n, mode, bound, rng)
+def _word_check(stat: int, n: int, mode: str, bound, rng) -> dict[str, object]:
+    rep, check, agree = _checked_report(stat, n, mode, bound, rng)
     passed = rep.passed and agree
     return {**_report_fields(rep), "check": check, "agreement": agree, "passed": passed}
 
 
-def _continuant_check(verifier: str, n: int, mode: str, bound, rng) -> dict[str, object]:
-    rep = globals()[verifier](n, bound)
+def _continuant_check(stat: int, n: int, mode: str, bound, rng) -> dict[str, object]:
+    rep = (verify_continuant_max, verify_period_continuant_max)[stat](n, bound)
     return {**_report_fields(rep), "passed": rep.passed}
 
 
@@ -430,18 +432,12 @@ class Theorem:
 _ARITHMETIC_ONLY = ("arithmetic", "both")
 
 THEOREMS: dict[str, Theorem] = {
-    "max-length": Theorem(0, 14, ANY_MODE, partial(_word_check, "verify_max_length", 0)),
-    "max-period": Theorem(1, 14, ANY_MODE, partial(_word_check, "verify_max_period", 1)),
-    "max-bcount": Theorem(1, 14, ANY_MODE, partial(_word_check, "verify_max_bcount", 2)),
-    "continuant-max": Theorem(
-        0, 20, _ARITHMETIC_ONLY, partial(_continuant_check, "verify_continuant_max"), "arithmetic"
-    ),
+    "max-length": Theorem(0, 14, ANY_MODE, partial(_word_check, 0)),
+    "max-period": Theorem(1, 14, ANY_MODE, partial(_word_check, 1)),
+    "max-bcount": Theorem(1, 14, ANY_MODE, partial(_word_check, 2)),
+    "continuant-max": Theorem(0, 20, _ARITHMETIC_ONLY, partial(_continuant_check, 0), "arithmetic"),
     "period-continuant-max": Theorem(
-        2,
-        20,
-        _ARITHMETIC_ONLY,
-        partial(_continuant_check, "verify_period_continuant_max"),
-        "arithmetic",
+        2, 20, _ARITHMETIC_ONLY, partial(_continuant_check, 1), "arithmetic"
     ),
     "fib-lemma": Theorem(1, 60, _ARITHMETIC_ONLY, _fib_lemma_check, "arithmetic", bounded=False),
     "harmonic": Theorem(1, 20, _ARITHMETIC_ONLY, _harmonic_check, "arithmetic", bounded=False),

@@ -47,6 +47,7 @@ class Rational:
     den: int
 
     def __post_init__(self) -> None:
+        check_ints((self.num, self.den))
         if self.num < 0 or self.den < 0:
             raise ValueError("components must be non-negative")
         if self.den == 0:

@@ -269,6 +269,24 @@ def test_verify_streams_checks_the_stream_image(capsys, monkeypatch):
     assert flags == [("4", "length_ok")]
     assert _failed_orders(recs) == ["4"]
 
+
+def test_verify_streams_arithmetic_builds_no_word(capsys, monkeypatch):
+    # --mode arithmetic stays on integer encodings, so a cap of 10 letters
+    # does not stop it and the stream images are never built.
+    def no_image(v):
+        raise AssertionError(f"psi({v!r}) called under --mode arithmetic")
+
+    monkeypatch.setattr(oracle, "psi", no_image)
+    code, recs = run_json(
+        capsys, "verify", "streams", "--mode", "arithmetic", "--n-max", "8", "--max-word-len", "10"
+    )
+    assert code == 0 and len(recs) == 8
+    assert all(r["status"] == "ok" and r["result"]["passed"] == "true" for r in recs)
+    assert recs[-1]["result"]["length"] == str(fibonacci(9) - 2)
+    assert recs[-1]["result"]["period"] == str(fibonacci(7))
+    assert recs[-1]["result"]["bcount"] == str(fibonacci(7) - 1)
+
+
 def test_verify_continuant_rows(capsys):
     code, recs = run_json(capsys, "verify", "continuant-max", "--n-max", "8")
     assert code == 0
@@ -382,6 +400,7 @@ def test_verify_refuses_unsupported_flags(capsys, argv):
         ("christoffel", "2", "3", "--seed", "1"),
         ("arith", "continuant", "[1,1]", "--seed", "1"),
         ("verify", "fib-lemma", "--n-max", "1", "--full"),
+        ("arith", "continuant", "[1,2]", "--max-word-len", "1"),
     ],
 )
 def test_flags_a_command_does_not_read_are_refused(capsys, argv):
@@ -444,6 +463,67 @@ def test_tsv_error_record(capsys):
     assert (rows[0]["inputs.p"], rows[0]["inputs.q"]) == ("2", "4")
 
 
+# Exact stdout, so a change to the record layout (key order, TSV header,
+# value text) shows even where parsed values still agree.
+RECORD_BYTES = [
+    (
+        ("psi", "abab"),
+        0,
+        '{"command": "psi", "status": "ok", "error_kind": "", "inputs": {"directive": "abab"}, '
+        '"result": {"word": "abaababaaba", "length": "11", "period": "5", "bcount": "4", '
+        '"intrep": "[0,1,1,2,1,1,1,2,1,1]", "directive_intrep": "[0,1,1,1,1]"}}\n',
+    ),
+    (
+        ("psi", "abab", "--format", "tsv"),
+        0,
+        "command\tstatus\terror_kind\tinputs.directive\tresult.word\tresult.length\t"
+        "result.period\tresult.bcount\tresult.intrep\tresult.directive_intrep\n"
+        "psi\tok\t\tabab\tabaababaaba\t11\t5\t4\t[0,1,1,2,1,1,1,2,1,1]\t[0,1,1,1,1]\n",
+    ),
+    (
+        ("christoffel", "2", "3", "--factor"),
+        0,
+        '{"command": "christoffel", "status": "ok", "error_kind": "", '
+        '"inputs": {"p": "2", "q": "3"}, "result": {"word": "aabab", "length": "5", '
+        '"slope": "2/3", "w1": "aab", "w2": "ab", "p_inv": "3", "q_inv": "2"}}\n',
+    ),
+    (
+        ("arith", "cf", "[0,2,2,2]", "--format", "tsv"),
+        0,
+        "command\tstatus\terror_kind\tinputs.operation\tinputs.payload\t"
+        "result.value\tresult.num\tresult.den\tresult.convergents\n"
+        "arith\tok\t\tcf\t[0,2,2,2]\t5/12\t5\t12\t0/1 1/2 2/5 5/12\n",
+    ),
+    (
+        ("verify", "max-length", "--n-max", "1", "--format", "tsv"),
+        0,
+        "command\tstatus\terror_kind\tinputs.theorem\tinputs.order\tinputs.mode\t"
+        "result.maximum\tresult.expected_max\tresult.argmax\tresult.expected_argmax\t"
+        "result.argmax_size\tresult.check\tresult.agreement\tresult.passed\n"
+        "verify\tok\t\tmax-length\t0\tboth\t0\t0\t\t\t1\tfull\ttrue\ttrue\n"
+        "verify\tok\t\tmax-length\t1\tboth\t1\t1\ta b\ta b\t2\tfull\ttrue\ttrue\n",
+    ),
+    (
+        # Two ok rows, then the error row under the union of their columns.
+        ("verify", "central-count", "--n-max", "17", "--bound", "1", "--format", "tsv"),
+        2,
+        "command\tstatus\terror_kind\tinputs.theorem\tinputs.length\tinputs.mode\t"
+        "result.count\tresult.expected\tresult.passed\tresult.message\n"
+        "verify\tok\t\tcentral-count\t0\tcensus\t1\t1\ttrue\t\n"
+        "verify\tok\t\tcentral-count\t1\tcensus\t2\t2\ttrue\t\n"
+        "verify\terror\tBoundExceededError\tcentral-count\t\tboth\t\t\t\t"
+        "length 2 exceeds the census bound 1\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out", RECORD_BYTES, ids=[" ".join(argv) for argv, _, _ in RECORD_BYTES]
+)
+def test_record_bytes(capsys, argv, code, out):
+    assert run(capsys, *argv) == (code, out)
+
+
 def test_elision_and_full(capsys):
     directive = "ab" * 8
     code, recs = run_json(capsys, "psi", directive)
@@ -467,6 +547,17 @@ def test_arith_payload_elision_and_full(capsys):
     assert code == 2 and recs[0]["inputs"]["payload"] == elided
     code, recs = run_json(capsys, "arith", "intrep", payload, "--full")
     assert code == 0 and recs[0]["inputs"]["payload"] == payload
+
+
+def test_stream_spec_elision_and_full(capsys):
+    spec = "a" * 130 + "|ab"
+    elided = spec[:117] + "..."
+    code, recs = run_json(capsys, "stream", spec, "10")
+    assert code == 0 and recs[0]["inputs"]["spec"] == elided
+    code, recs = run_json(capsys, "stream", spec, "-1")
+    assert code == 2 and recs[0]["inputs"]["spec"] == elided
+    code, recs = run_json(capsys, "stream", spec, "10", "--full")
+    assert code == 0 and recs[0]["inputs"]["spec"] == spec
 
 
 def test_max_word_len_flag(capsys):
@@ -506,6 +597,14 @@ def test_max_word_len_environment_refuses_bad_values(monkeypatch, raw, message):
     monkeypatch.setenv("STURMIAN_MAX_WORD_LEN", raw)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         config.max_word_len()
+
+@pytest.mark.parametrize("limit", [2.5, True, "10", 10.0])
+def test_set_max_word_len_refuses_non_integers(monkeypatch, limit):
+    monkeypatch.setattr(config, "_override", None)
+    with pytest.raises(ValueError, match="^materialization cap must be an integer, got "):
+        config.set_max_word_len(limit)
+    assert config._override is None
+
 
 def test_usage_errors_exit_2(capsys):
     assert main(["psi"]) == 2

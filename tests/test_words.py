@@ -183,6 +183,13 @@ def test_rational():
         Rational(-1, 2)
 
 
+@pytest.mark.parametrize("num, den", [(True, 2), (1, True), (1.0, 3), (2, 3.0), ("1", 2)])
+def test_rational_refuses_non_integer_components(num, den):
+    # Bools are refused too: Rational(True, 2) would print as True/2.
+    with pytest.raises(ValueError, match="must be integers"):
+        Rational(num, den)
+
+
 def test_fibonacci_values():
     assert [fibonacci(n) for n in range(-1, 11)] == [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144]
     assert fibonacci(15) == 1597
