@@ -26,7 +26,13 @@ from .arithmetic import (
     psi_stats_from_directive,
     to_integral,
 )
-from .config import ARITHMETIC_ORDER_BOUND, CENSUS_LENGTH_BOUND, MATERIALIZED_ORDER_BOUND
+from .config import (
+    ARITHMETIC_ORDER_BOUND,
+    CENSUS_LENGTH_BOUND,
+    MATERIALIZED_ORDER_BOUND,
+    ensure_materializable,
+    max_word_len,
+)
 from .errors import BoundExceededError
 from .families import count_central
 from .palindromization import (
@@ -59,14 +65,19 @@ def directive_images(n: int, a_start: bool = False) -> Iterator[tuple[Word, Word
     """Yield (v, psi(v)) for every directive word v of length n.
 
     Images grow by prepending the morphism image of the new letter, so the
-    whole tree costs one string concatenation per node.
+    whole tree costs one string concatenation per node.  The materialization
+    cap is read once; the first image longer than it raises
+    MaterializationLimitError.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    limit = max_word_len()
     stack = [("", "", "a", "b")]
     while stack:
         v, w, ma, mb = stack.pop()
         if len(v) == n:
+            if len(w) > limit:
+                ensure_materializable(len(w))
             yield v, w
             continue
         if v or not a_start:
@@ -115,12 +126,6 @@ def _check_bound(n: int, mode: str, bound: int | None) -> None:
         raise BoundExceededError(f"order {n} exceeds the {mode} enumeration bound {bound}")
 
 
-def _scan(n: int, stat: int, a_start: bool, mode: str) -> tuple[int, list[Word]]:
-    if mode == "materialized":
-        return _materialized_scan(n, stat, a_start)
-    return _kernels.arith_scan(n, stat, a_start)
-
-
 def _make_report(order, got_max, got_arg, exp_max, exp_arg) -> ExtremalReport:
     got_t, exp_t = tuple(got_arg), tuple(exp_arg)
     passed = got_max == exp_max and set(got_t) == set(exp_t)
@@ -156,7 +161,8 @@ def _verify_word(
     _check_mode(mode)
     _check_bound(n, mode, bound)
     # The b-count law is stated over 'a'-leading directives only.
-    got_max, got_arg = _scan(n, stat, stat == 2, mode)
+    scan = _materialized_scan if mode == "materialized" else _kernels.arith_scan
+    got_max, got_arg = scan(n, stat, stat == 2)
     return _make_report(n, got_max, got_arg, *expected(n))
 
 
@@ -260,12 +266,14 @@ def central_length_census(n_max: int, bound: int | None = None) -> dict[int, int
 
     Walks the directive tree, pruning once an image outgrows n_max (images
     only grow along a directive), and counts each image once: distinct
-    directives give distinct images.
+    directives give distinct images.  It builds images of up to n_max
+    letters, so n_max is checked against the materialization cap first.
     """
     _check_order("central-count", n_max, "n_max")
     bound = CENSUS_LENGTH_BOUND if bound is None else bound
     if n_max > bound:
         raise BoundExceededError(f"length {n_max} exceeds the census bound {bound}")
+    ensure_materializable(n_max)
     counts = [0] * (n_max + 1)
     stack = [("", "a", "b")]
     while stack:

@@ -37,28 +37,36 @@ def palindromic_closure(w: Word) -> Word:
     return w + head[::-1]
 
 
-def _justin(v: Word, capped: bool = True) -> tuple[Word, Word, Word]:
-    """(psi(v), mu_v(a), mu_v(b)), grown from ("", "a", "b") by Justin's step.
+def _justin(v: Word, stop: int | None = None) -> Word:
+    """psi(v), or its first `stop` letters, grown from "" by Justin's step.
 
     The step for a letter x prepends mu_u(x) to the image and to the other
     letter's morphism image.  Along a run of k letters x, mu_u(x) does not
-    change, so the whole run costs one prepend of mu_u(x) * k to each.  With
-    capped, each run's projected image length is checked first, so the cap
-    is hit exactly when |psi(v)| exceeds it.
+    change, so the whole run costs one prepend of mu_u(x) * k to each.
+    Without stop, each run's projected image length is checked first, so the
+    cap is hit exactly when |psi(v)| exceeds it.  With stop, the caller
+    answers for the cap, and the walk ends at the run that reaches stop
+    letters: psi(u x^k) = mu_u(x)^k psi(u) begins with psi(u), so the fewest
+    copies of mu_u(x) that reach stop letters, then psi(u), begin with the
+    answer, and as |mu_u(x)| <= |psi(u)| + 1 those copies hold at most stop
+    letters.
     """
     w, ma, mb = "", "a", "b"
     for run in _RUN.finditer(v):
         i, j = run.span()
         m = ma if v[i] == "a" else mb
-        if capped:
+        if stop is None:
             ensure_materializable(len(w) + (j - i) * len(m))
+        elif len(w) + (j - i) * len(m) >= stop:
+            head = m * -(-(stop - len(w)) // len(m))
+            return head + w[: stop - len(head)]
         block = m * (j - i)
         w = block + w
         if v[i] == "a":
             mb = block + mb
         else:
             ma = block + ma
-    return w, ma, mb
+    return w
 
 
 def psi(v: Word) -> Word:
@@ -68,7 +76,7 @@ def psi(v: Word) -> Word:
     'ababaababa'
     """
     check_word(v)
-    return _justin(v)[0]
+    return _justin(v)
 
 
 def directive_word_of(w: Word) -> Word:
@@ -79,8 +87,8 @@ def directive_word_of(w: Word) -> Word:
     with |mu_ux(y)| = |mu_u(y)| + |mu_u(x)| for y != x.  One pass reads the
     candidate directive off w along these lengths.  Raises NotCentralError
     when the lengths overshoot |w| or the candidate's image differs from w.
-    The round trip builds exactly |w| letters, which the caller already
-    holds, so it is exempt from the materialization cap.
+    The round trip stops at the |w| letters the caller already holds, so it
+    is exempt from the materialization cap.
     """
     check_word(w)
     letters = []
@@ -93,8 +101,8 @@ def directive_word_of(w: Word) -> Word:
         else:
             n, la = n + lb, la + lb
     v = "".join(letters)
-    if n != len(w) or _justin(v, capped=False)[0] != w:
-        raise NotCentralError(f"not an iterated-closure image: {w[:40]!r}...")
+    if n != len(w) or _justin(v, stop=n) != w:
+        raise NotCentralError(f"not an iterated-closure image: {w[:40]!r}")
     return v
 
 
@@ -235,39 +243,18 @@ def psi_stream_advance(s: PsiStream, steps: int) -> PsiStream:
     if steps < 0:
         raise ValueError("steps must be >= 0")
     emitted = s.emitted + steps
-    return PsiStream(s.spec, emitted, _justin(s.spec.prefix(emitted))[0])
+    return PsiStream(s.spec, emitted, _justin(s.spec.prefix(emitted)))
 
 
 def stream_prefix(spec: DirectiveSpec, prefix_len: int) -> Word:
     """First prefix_len letters of the infinite closure image of spec.
 
-    The length recurrence of Justin's step finds the shortest directive
-    prefix ux whose image has at least prefix_len letters, without building
-    anything; an image is never shorter than its directive, so ux lies within
-    the first prefix_len letters.  Then psi(ux) = mu_u(x) psi(u) with
-    |psi(u)| < prefix_len and |mu_u(x)| <= |psi(u)| + 1, so besides those
-    directive letters only psi(u) and the first prefix_len letters are built.
+    Justin's step runs along the first prefix_len directive letters and stops
+    at the run whose image reaches prefix_len letters; an image is never
+    shorter than its directive, so that run lies within them.  No string
+    longer than prefix_len is built.
     """
     if prefix_len < 0:
         raise ValueError("prefix_len must be >= 0")
     ensure_materializable(prefix_len)
-    if prefix_len == 0:
-        return ""
-    v = spec.prefix(prefix_len)
-    length, la, lb, used = 0, 1, 1, 0
-    for run in _RUN.finditer(v):
-        x, k = v[run.start()], run.end() - run.start()
-        lx = la if x == "a" else lb
-        need = -(-(prefix_len - length) // lx)  # letters x until the image is long enough
-        if need <= k:
-            used += need - 1
-            break
-        used += k
-        length += k * lx
-        if x == "a":
-            lb += k * lx
-        else:
-            la += k * lx
-    w, ma, mb = _justin(v[:used])
-    head = ma if v[used] == "a" else mb
-    return head + w[: prefix_len - len(head)]
+    return _justin(spec.prefix(prefix_len), stop=prefix_len)

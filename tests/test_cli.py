@@ -287,6 +287,24 @@ def test_verify_streams_arithmetic_builds_no_word(capsys, monkeypatch):
     assert recs[-1]["result"]["bcount"] == str(fibonacci(7) - 1)
 
 
+@pytest.mark.parametrize(
+    "argv, index, last",
+    [
+        (("max-length", "--mode", "materialized", "--n-max", "8"), "order", 3),
+        (("central-count", "--n-max", "14"), "length", 10),
+    ],
+)
+def test_verify_materialized_routes_honour_the_cap(capsys, argv, index, last):
+    # The materialized scan and the census build words, so a cap of 10
+    # letters stops them at the first order whose images outgrow it.
+    code, recs = run_json(capsys, "verify", *argv, "--max-word-len", "10")
+    assert code == 2
+    assert [r["inputs"][index] for r in recs[:-1]] == [str(k) for k in range(last + 1)]
+    assert all(r["status"] == "ok" and r["result"]["passed"] == "true" for r in recs[:-1])
+    assert recs[-1]["error_kind"] == "MaterializationLimitError"
+    assert recs[-1]["result"]["message"] == "word of length 11 exceeds the materialization cap 10"
+
+
 def test_verify_continuant_rows(capsys):
     code, recs = run_json(capsys, "verify", "continuant-max", "--n-max", "8")
     assert code == 0

@@ -277,6 +277,8 @@ def test_directive_word_of_rejects_non_images():
     for w in ("ab", "abab", "aabbaa", "ba", "abba" + "ab"):
         with pytest.raises(NotCentralError):
             directive_word_of(w)
+    with pytest.raises(NotCentralError, match=r"^not an iterated-closure image: 'ab'$"):
+        directive_word_of("ab")
 
 
 def test_exchange():
