@@ -1,2 +1,3 @@
-"""The hot kernels: longest palindromic suffix, minimal period, continuant scan."""
-from ._pure import BACKEND, arith_scan, lps_length, min_period
+"""The hot kernels: prefix function, longest palindromic suffix, minimal period,
+and the continuant walk of the directive tree."""
+from ._pure import BACKEND, arith_orders, arith_scan, borders, lps_length, min_period

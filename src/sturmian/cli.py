@@ -18,12 +18,14 @@ from .errors import SturmianError
 _ELIDE_AT = 120
 
 # The parsed arguments a record shows as its inputs: every record of psi,
-# stream, christoffel and arith, and every error record.
+# stream, christoffel and arith, and every error record.  An argument that
+# is not set is left out: a verify run sets its order (or length) as it
+# goes, so an error record names the order that stopped it.
 _INPUT_ARGS = {
     "psi": ("directive",),
     "stream": ("spec", "prefix_len"),
     "christoffel": ("p", "q"),
-    "verify": ("theorem", "mode"),
+    "verify": ("theorem", "order", "length", "mode"),
     "arith": ("operation", "payload"),
 }
 
@@ -77,7 +79,11 @@ def _display_word(w: str, full: bool) -> str:
 
 def _inputs(args) -> dict[str, str]:
     full = getattr(args, "full", False)
-    return {key: _display_word(str(getattr(args, key)), full) for key in _INPUT_ARGS[args.command]}
+    return {
+        key: _display_word(str(getattr(args, key)), full)
+        for key in _INPUT_ARGS[args.command]
+        if hasattr(args, key)
+    }
 
 
 def _parse_int_list(payload: str) -> tuple[int, ...]:
@@ -178,7 +184,12 @@ def _cmd_verify(args):
     if args.bound is not None and not theorem.bounded:
         raise ValueError(f"{name} enumerates nothing, so it takes no --bound")
     orders = range(theorem.first, n_max + 1)
-    for inputs, result in theorem.rows(orders, mode, args.bound, args.seed):
+    rows = theorem.rows(orders, mode, args.bound, args.seed)
+    # From here on an error record shows the route and the order it stopped at.
+    args.mode = theorem.route or mode
+    for n in orders:
+        setattr(args, theorem.index, n)
+        inputs, result = next(rows)
         yield {"theorem": name, **inputs}, result
 
 

@@ -205,14 +205,34 @@ def _failed_orders(recs):
 
 def test_verify_streams_compares_routes_in_full(capsys, monkeypatch):
     # Under --mode both, streams checks its orders as the word theorems do, so
-    # an arithmetic scan that loses an argmax member fails there too.
-    real = oracle._kernels.arith_scan
+    # an arithmetic walk that loses an order-5 argmax member fails there too.
+    real = oracle._kernels.arith_orders
 
-    def scan(n, stat, a_start):
-        best, arg = real(n, stat, a_start)
-        return best, arg[1:] if n == 5 else arg
+    def walk(n, stat, a_start):
+        orders = real(n, stat, a_start)
+        best, arg = orders[5]
+        orders[5] = best, arg[1:]
+        return orders
 
-    monkeypatch.setattr(oracle._kernels, "arith_scan", scan)
+    monkeypatch.setattr(oracle._kernels, "arith_orders", walk)
+    for theorem in ("streams", "max-period"):
+        code, recs = run_json(capsys, "verify", theorem, "--n-max", "6")
+        assert code == 1
+        assert _failed_orders(recs) == ["5"]
+
+
+def test_verify_streams_compares_the_materialized_walk_in_full(capsys, monkeypatch):
+    # The materialized twin: one depth-5 node of the string walk, scored one
+    # too high, fails order 5 and no other.
+    real = oracle._scored_images
+
+    def scored(top, stats):
+        for v, size, scores in real(top, stats):
+            if v == "ababa":
+                scores = tuple(x + 1 for x in scores)
+            yield v, size, scores
+
+    monkeypatch.setattr(oracle, "_scored_images", scored)
     for theorem in ("streams", "max-period"):
         code, recs = run_json(capsys, "verify", theorem, "--n-max", "6")
         assert code == 1
@@ -303,6 +323,59 @@ def test_verify_materialized_routes_honour_the_cap(capsys, argv, index, last):
     assert all(r["status"] == "ok" and r["result"]["passed"] == "true" for r in recs[:-1])
     assert recs[-1]["error_kind"] == "MaterializationLimitError"
     assert recs[-1]["result"]["message"] == "word of length 11 exceeds the materialization cap 10"
+
+
+@pytest.mark.parametrize(
+    "argv, first",
+    [
+        (("max-period", "--n-max", "8"), 1),
+        (("max-period", "--n-max", "8", "--mode", "materialized"), 1),
+        (("streams", "--n-max", "8", "--mode", "materialized"), 1),
+        (("max-bcount", "--n-max", "8", "--mode", "materialized"), 1),
+    ],
+)
+def test_verify_word_walks_honour_the_cap(capsys, argv, first):
+    # One walk serves every order, and it still stops at the first order
+    # with an image over the cap: orders 1-3 print, then the error record
+    # names order 4 and the length of its lexicographically first image
+    # over the cap, as the per-order scans did.
+    code, out = run(capsys, "verify", *argv, "--max-word-len", "10")
+    lines = out.splitlines()
+    assert code == 2
+    recs = [json.loads(line) for line in lines[:-1]]
+    assert [r["inputs"]["order"] for r in recs] == [str(k) for k in range(first, 4)]
+    assert all(r["status"] == "ok" and r["result"]["passed"] == "true" for r in recs)
+    mode = argv[argv.index("--mode") + 1] if "--mode" in argv else "both"
+    assert lines[-1] == (
+        '{"command": "verify", "status": "error", "error_kind": "MaterializationLimitError", '
+        f'"inputs": {{"theorem": "{argv[0]}", "order": "4", "mode": "{mode}"}}, '
+        '"result": {"message": "word of length 11 exceeds the materialization cap 10"}}'
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, inputs",
+    [
+        (("central-count", "--n-max", "17"), {"length": "17", "mode": "census"}),
+        (("continuant-max", "--n-max", "23"), {"order": "6", "mode": "arithmetic"}),
+        (
+            ("max-period", "--n-max", "7", "--mode", "materialized"),
+            {"order": "6", "mode": "materialized"},
+        ),
+        (("streams", "--n-max", "7"), {"order": "6", "mode": "both"}),
+    ],
+)
+def test_verify_error_record_names_the_route_and_order(capsys, monkeypatch, argv, inputs):
+    # An error raised during a run shows the theorem's fixed route, if it has
+    # one, and the order or length that stopped the run.  The bounds are
+    # lowered to 5 so the continuant and word runs stop at order 6 quickly.
+    monkeypatch.setattr(oracle, "ARITHMETIC_ORDER_BOUND", 5)
+    monkeypatch.setattr(oracle, "MATERIALIZED_ORDER_BOUND", 5)
+    code, recs = run_json(capsys, "verify", *argv)
+    assert code == 2
+    assert recs[-1]["status"] == "error" and recs[-1]["error_kind"] == "BoundExceededError"
+    assert recs[-1]["inputs"] == {"theorem": argv[0], **inputs}
+    assert list(recs[-1]["inputs"]) == list(recs[-2]["inputs"])
 
 
 def test_verify_continuant_rows(capsys):
@@ -529,7 +602,7 @@ RECORD_BYTES = [
         "result.count\tresult.expected\tresult.passed\tresult.message\n"
         "verify\tok\t\tcentral-count\t0\tcensus\t1\t1\ttrue\t\n"
         "verify\tok\t\tcentral-count\t1\tcensus\t2\t2\ttrue\t\n"
-        "verify\terror\tBoundExceededError\tcentral-count\t\tboth\t\t\t\t"
+        "verify\terror\tBoundExceededError\tcentral-count\t2\tcensus\t\t\t\t"
         "length 2 exceeds the census bound 1\n",
     ),
 ]

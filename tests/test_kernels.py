@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import naive
 from sturmian import _kernels, psi, psi_stats_from_directive
-from sturmian._kernels import arith_scan, lps_length, min_period
+from sturmian._kernels import arith_orders, arith_scan, borders, lps_length, min_period
 
 
 def _scan_brute(n, stat, a_start):
@@ -92,11 +92,44 @@ def test_arith_scan_matches_run_length_continuants(n):
             )
 
 
+def test_borders_extends_a_prefix_in_place():
+    # Extending the prefix function of any prefix gives the whole word's.
+    for w in naive.words_upto(9):
+        if not w:
+            continue
+        whole = borders(w)
+        assert len(whole) == len(w) and len(w) - whole[-1] == naive.min_period_naive(w)
+        for k in range(len(w)):
+            fail = borders(w[:k]) if k else []
+            assert borders(w, fail) is fail and fail == whole
+
+
+def test_arith_orders_matches_run_length_continuants():
+    """Every order of one walk, scanned by psi_stats_from_directive (no kernel code)."""
+    n = 12
+    stats = {v: psi_stats_from_directive(v) for v in naive.words_upto(n)}
+    for stat in (0, 1, 2):
+        for a_start in (False, True):
+            orders = arith_orders(n, stat, a_start)
+            assert len(orders) == n + 1
+            for k, got in enumerate(orders):
+                vals = {
+                    v: s[stat]
+                    for v, s in stats.items()
+                    if len(v) == k and not (a_start and v.startswith("b"))
+                }
+                best = max(vals.values())
+                assert got == (best, sorted(v for v, val in vals.items() if val == best))
+            assert arith_scan(n, stat, a_start) == orders[n]
+
+
 def test_arith_scan_rejects_bad_arguments():
     with pytest.raises(ValueError):
         arith_scan(-1, 0, False)
     with pytest.raises(ValueError):
         arith_scan(3, 5, False)
+    with pytest.raises(ValueError):
+        arith_orders(-1, 0, False)
 
 
 def test_dispatcher_exposes_kernels():

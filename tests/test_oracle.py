@@ -1,4 +1,5 @@
 """Extremal verifiers against frozen tables, closed forms, and brute force."""
+import functools
 import random
 
 import pytest
@@ -33,7 +34,8 @@ from sturmian import (
     verify_period_continuant_max,
 )
 from sturmian.arithmetic import _length_terms, continuant
-from sturmian.oracle import THEOREMS
+from sturmian import config
+from sturmian.oracle import THEOREMS, _materialized_orders
 
 MAX_LENGTH_TABLE = {n: v for n, v in enumerate([0, 1, 3, 6, 11, 19, 32, 53, 87])}
 MAX_PERIOD_TABLE = {n + 1: v for n, v in enumerate([1, 2, 3, 5, 8, 13, 21, 34])}
@@ -64,6 +66,57 @@ def test_directive_images_a_start():
         assert len(got) == (2 ** (n - 1) if n else 1)
     with pytest.raises(ValueError):
         list(directive_images(-1))
+
+
+@functools.cache
+def _naive_period(w):
+    return naive.min_period_naive(w)
+
+
+def _brute_orders(psi12, stat, top):
+    """(maximum, sorted argmax) of one statistic at each order <= top, read off
+    the psi12 images; the b-count ranges over 'a'-leading directives only."""
+    out = []
+    for k in range(top + 1):
+        vals = {
+            v: (len(w), _naive_period(w), w.count("b"))[stat]
+            for v, w in psi12.items()
+            if len(v) == k and not (stat == 2 and v.startswith("b"))
+        }
+        best = max(vals.values())
+        out.append((best, sorted(v for v, val in vals.items() if val == best)))
+    return out
+
+
+@pytest.mark.parametrize("stats", [(0,), (1,), (2,), (0, 1, 2)])
+def test_materialized_walk_matches_brute_force(psi12, stats):
+    # One walk answers every order <= 12: maximum and full argmax of each
+    # statistic, with the periods of the naive definition.  A walk of the
+    # b-count alone visits the 'a'-leading subtree only; the full walk
+    # scores the b-count on its 'a'-leading nodes.
+    table, over = _materialized_orders(12, stats)
+    assert over is None and list(table) == list(stats)
+    for stat in stats:
+        assert table[stat] == _brute_orders(psi12, stat, 12)
+
+
+@pytest.mark.parametrize("stats, cap", [((0,), 10), ((1,), 40), ((2,), 25), ((0, 1, 2), 25)])
+def test_materialized_walk_stops_at_the_first_order_over_the_cap(psi12, monkeypatch, stats, cap):
+    # It reports the first order with an image over the cap and the length
+    # of that order's lexicographically first such image; the orders before
+    # it are exact.
+    monkeypatch.setattr(config, "_override", cap)
+    a_only = stats == (2,)
+    over = [
+        (len(v), v, len(w))
+        for v, w in psi12.items()
+        if len(w) > cap and not (a_only and v.startswith("b"))
+    ]
+    k, _, length = min(over)
+    table, got = _materialized_orders(12, stats)
+    assert got == (k, length)
+    for stat in stats:
+        assert table[stat][:k] == _brute_orders(psi12, stat, k - 1)
 
 
 def test_max_length_frozen():
