@@ -1,4 +1,6 @@
 """Kernel contracts, each pinned to a naive reimplementation."""
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -104,23 +106,57 @@ def test_borders_extends_a_prefix_in_place():
             assert borders(w, fail) is fail and fail == whole
 
 
-def test_arith_orders_matches_run_length_continuants():
-    """Every order of one walk, scanned by psi_stats_from_directive (no kernel code)."""
-    n = 12
-    stats = {v: psi_stats_from_directive(v) for v in naive.words_upto(n)}
+@pytest.fixture(scope="module")
+def run_length_orders():
+    """Every order <= 12 of each statistic and a_start, scanned by
+    psi_stats_from_directive (no kernel code): {(stat, a_start): orders}."""
+    stats = {v: psi_stats_from_directive(v) for v in naive.words_upto(12)}
+    table = {}
     for stat in (0, 1, 2):
         for a_start in (False, True):
-            orders = arith_orders(n, stat, a_start)
-            assert len(orders) == n + 1
-            for k, got in enumerate(orders):
+            orders = []
+            for k in range(13):
                 vals = {
                     v: s[stat]
                     for v, s in stats.items()
                     if len(v) == k and not (a_start and v.startswith("b"))
                 }
                 best = max(vals.values())
-                assert got == (best, sorted(v for v, val in vals.items() if val == best))
-            assert arith_scan(n, stat, a_start) == orders[n]
+                orders.append((best, sorted(v for v, val in vals.items() if val == best)))
+            table[stat, a_start] = orders
+    return table
+
+
+def test_arith_orders_matches_run_length_continuants(run_length_orders):
+    """Every order of one walk, scanned by psi_stats_from_directive (no kernel code)."""
+    n = 12
+    for (stat, a_start), expected in run_length_orders.items():
+        orders = arith_orders(n, stat, a_start)
+        assert len(orders) == n + 1
+        assert orders == expected
+        assert arith_scan(n, stat, a_start) == orders[n]
+
+
+@pytest.mark.parametrize("block", [2, 4, 8])
+def test_arith_orders_splits_blocks(monkeypatch, run_length_orders, block):
+    """Small blocks split at every level past log2(block): halves, prefixes
+    and index parity still give every order's maximum and sorted argmax."""
+    monkeypatch.setattr(_kernels._pure, "_BLOCK", block)
+    for (stat, a_start), expected in run_length_orders.items():
+        for n in range(13):
+            assert arith_orders(n, stat, a_start) == expected[: n + 1]
+
+
+@pytest.mark.parametrize("stat", [0, 1, 2])
+def test_arith_orders_memory_is_bounded(stat):
+    """Order 20 in well under the 2^20-node level a whole-level walk would hold."""
+    tracemalloc.start()
+    try:
+        arith_orders(20, stat, stat == 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_arith_scan_rejects_bad_arguments():
