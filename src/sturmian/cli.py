@@ -44,6 +44,10 @@ def _text(value) -> str:
     return str(value)
 
 
+# A TSV cell escapes the characters that would split it or its row.
+_TSV_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
+
+
 class Emitter:
     """Prints records: each JSON line at once, or every TSV row under one
     header, the union of their columns in first-seen order, at close."""
@@ -68,7 +72,7 @@ class Emitter:
         columns = list(dict.fromkeys(key for row in self.rows for key in row))
         print("\t".join(columns))
         for row in self.rows:
-            print("\t".join(row.get(col, "") for col in columns))
+            print("\t".join(row.get(col, "").translate(_TSV_ESCAPES) for col in columns))
 
 
 def _display_word(w: str, full: bool) -> str:
@@ -184,13 +188,13 @@ def _cmd_verify(args):
     if args.bound is not None and not theorem.bounded:
         raise ValueError(f"{name} enumerates nothing, so it takes no --bound")
     orders = range(theorem.first, n_max + 1)
-    rows = theorem.rows(orders, mode, args.bound, args.seed)
-    # From here on an error record shows the route and the order it stopped at.
+    results = theorem.rows(orders, mode, args.bound, args.seed)
+    # From here on every record shows the route and its order; an error
+    # record shows the order that stopped the run.
     args.mode = theorem.route or mode
     for n in orders:
         setattr(args, theorem.index, n)
-        inputs, result = next(rows)
-        yield {"theorem": name, **inputs}, result
+        yield _inputs(args), next(results)
 
 
 @functools.cache

@@ -112,15 +112,19 @@ def _statistic(w: Word, stat: int) -> int:
     return w.count("b")
 
 
-def _scored_images(top: int, stats: tuple[int, ...]) -> Iterator[tuple[Word, int, tuple | None]]:
-    """Yield (v, |psi(v)|, scores) for every directive v of length at most
-    top, in the order of _preorder; scores[i] is statistic stats[i] of
-    psi(v), read off the string as _statistic does, and None for the
-    b-count of a directive that begins with 'b'.  A walk of the b-count
-    alone visits only the 'a'-leading directives.
+def _materialized_orders(
+    top: int, stats: tuple[int, ...]
+) -> tuple[dict[int, list[tuple[int, list[Word]]]], tuple[int, int] | None]:
+    """(table, over): the maximum and sorted argmax of each statistic in
+    `stats` (numbered as in _statistic) over the psi images at every order
+    0..top, from one walk of _preorder; the b-count ranges over 'a'-leading
+    directives only, and a walk of the b-count alone visits only those.
 
-    An image longer than the materialization cap is yielded with scores
-    None and not expanded.  The periods share one prefix-function list:
+    table[stat][k] is (maximum, argmax) at order k.  over is None, or
+    (k, length) for the first order k with an image over the
+    materialization cap and the length of its lexicographically first such
+    image; such an image is not expanded, and the entries from order k on
+    are then incomplete.  The periods share one prefix-function list:
     psi(parent) is a prefix of psi(v), and every node visited since the
     parent extends psi(parent), so the list is cut back to |psi(parent)|
     and extended over the new letters.
@@ -129,54 +133,32 @@ def _scored_images(top: int, stats: tuple[int, ...]) -> Iterator[tuple[Word, int
     periods = 1 in stats
     fail: list[int] = []
     image_len = [0] * (top + 1)
+    best = {stat: [-1] * (top + 1) for stat in stats}
+    arg: dict[int, list[list[Word]]] = {stat: [[] for _ in range(top + 1)] for stat in stats}
+    over = None
     for v, w in _preorder(top, stats == (2,), limit):
         depth, size = len(v), len(w)
         if size > limit:
-            yield v, size, None
+            if over is None or depth < over[0]:
+                over = (depth, size)
             continue
         image_len[depth] = size
         if periods and depth:
             del fail[image_len[depth - 1] :]
             _kernels.borders(w, fail)
-        scores = []
         for stat in stats:
             if stat == 0:
-                scores.append(size)
+                val = size
             elif stat == 1:
-                scores.append(size - fail[-1] if depth else 1)
-            else:
-                scores.append(None if v[:1] == "b" else w.count("b"))
-        yield v, size, tuple(scores)
-
-
-def _materialized_orders(
-    top: int, stats: tuple[int, ...]
-) -> tuple[dict[int, list[tuple[int, list[Word]]]], tuple[int, int] | None]:
-    """(table, over): the maximum and sorted argmax of each statistic in
-    `stats` over the psi images at every order 0..top, from one walk; the
-    b-count ranges over 'a'-leading directives only.
-
-    table[stat][k] is (maximum, argmax) at order k.  over is None, or
-    (k, length) for the first order k with an image over the
-    materialization cap and the length of its lexicographically first such
-    image; the entries from order k on are then incomplete.
-    """
-    best = {stat: [-1] * (top + 1) for stat in stats}
-    arg: dict[int, list[list[Word]]] = {stat: [[] for _ in range(top + 1)] for stat in stats}
-    over = None
-    for v, size, scores in _scored_images(top, stats):
-        depth = len(v)
-        if scores is None:
-            if over is None or depth < over[0]:
-                over = (depth, size)
-            continue
-        for stat, val in zip(stats, scores):
-            if val is None or val < best[stat][depth]:
+                val = size - fail[-1] if depth else 1
+            elif v[:1] == "b":
                 continue
+            else:
+                val = w.count("b")
             if val > best[stat][depth]:
                 best[stat][depth] = val
                 arg[stat][depth] = [v]
-            else:
+            elif val == best[stat][depth]:
                 arg[stat][depth].append(v)
     return {stat: list(zip(best[stat], arg[stat])) for stat in stats}, over
 
@@ -187,50 +169,61 @@ def _check_order(name: str, n: int, label: str = "n") -> None:
         raise ValueError(f"{label} must be >= {first}")
 
 
-def _check_mode(mode: str) -> None:
+def _route_bound(route: str, bound: int | None) -> int:
+    """`bound` when given, else the default bound of `route`: "materialized",
+    "arithmetic" or "census".  The defaults are read at call time, so a
+    lowered module bound takes effect."""
+    if bound is not None:
+        return bound
+    return {
+        "materialized": MATERIALIZED_ORDER_BOUND,
+        "arithmetic": ARITHMETIC_ORDER_BOUND,
+        "census": CENSUS_LENGTH_BOUND,
+    }[route]
+
+
+def _check_route(n: int, mode: str, bound: int | None) -> None:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-
-def _check_bound(n: int, mode: str, bound: int | None) -> None:
-    if bound is None:
-        bound = MATERIALIZED_ORDER_BOUND if mode == "materialized" else ARITHMETIC_ORDER_BOUND
+    bound = _route_bound(mode, bound)
     if n > bound:
         raise BoundExceededError(f"order {n} exceeds the {mode} enumeration bound {bound}")
 
 
-class _Walks:
-    """The all-orders walks of one verify run.
+class _Run:
+    """One verify run: its mode, its bound, the one seeded rng its sampled
+    checks share, and its all-orders walks.
 
     Each walk runs once, at the first order that reads it, down to the
-    run's n_max or the route's enumeration bound (`bound` when given),
-    whichever is lower; later orders read their entries from it.  The
-    arithmetic route walks once per statistic, the materialized route once
-    for all of `stats`, and the census once.
+    run's n_max or the route's bound, whichever is lower; later orders
+    read their entries from it.  The arithmetic route walks once per
+    statistic, the materialized route once for all of `stats`, and the
+    census once.
     """
 
-    def __init__(self, n_max: int, bound: int | None, stats: tuple[int, ...] = ()) -> None:
-        self.n_max, self.bound, self.stats = n_max, bound, stats
+    def __init__(
+        self, n_max: int, bound: int | None, stats: tuple[int, ...], mode: str, seed: int
+    ) -> None:
+        self.n_max, self.bound, self.stats, self.mode = n_max, bound, stats, mode
+        self.rng = random.Random(seed)
         self.arithmetic: dict[int, list[tuple[int, list[str]]]] = {}
         self.materialized = None
         self.census_counts: list[int] | None = None
 
-    def _top(self, default: int) -> int:
-        return min(self.n_max, default if self.bound is None else self.bound)
+    def _top(self, route: str) -> int:
+        return min(self.n_max, _route_bound(route, self.bound))
 
-    def scan(self, mode: str, stat: int, n: int) -> tuple[int, list[str]]:
-        """(maximum, sorted argmax) of statistic `stat` at order n, by `mode`'s
-        route; raises MaterializationLimitError from the first order whose
+    def scan(self, route: str, stat: int, n: int) -> tuple[int, list[str]]:
+        """(maximum, sorted argmax) of statistic `stat` at order n, by
+        `route`; raises MaterializationLimitError from the first order whose
         images outgrow the cap.  The b-count ranges over 'a'-leading
         directives only."""
-        if mode == "arithmetic":
+        if route == "arithmetic":
             if stat not in self.arithmetic:
-                top = self._top(ARITHMETIC_ORDER_BOUND)
-                self.arithmetic[stat] = _kernels.arith_orders(top, stat, stat == 2)
+                self.arithmetic[stat] = _kernels.arith_orders(self._top(route), stat, stat == 2)
             return self.arithmetic[stat][n]
         if self.materialized is None:
-            top = self._top(MATERIALIZED_ORDER_BOUND)
-            self.materialized = _materialized_orders(top, self.stats)
+            self.materialized = _materialized_orders(self._top(route), self.stats)
         table, over = self.materialized
         if over is not None and n >= over[0]:
             ensure_materializable(over[1])
@@ -239,15 +232,8 @@ class _Walks:
     def census(self, k: int) -> int:
         """How many distinct closure images have length k."""
         if self.census_counts is None:
-            top = min(self._top(CENSUS_LENGTH_BOUND), max_word_len())
-            self.census_counts = _census_counts(top)
+            self.census_counts = _census_counts(min(self._top("census"), max_word_len()))
         return self.census_counts[k]
-
-
-def _make_report(order, got_max, got_arg, exp_max, exp_arg) -> ExtremalReport:
-    got_t, exp_t = tuple(got_arg), tuple(exp_arg)
-    passed = got_max == exp_max and set(got_t) == set(exp_t)
-    return ExtremalReport(order, got_max, got_t, exp_max, exp_t, passed)
 
 
 def expected_max_length(n: int) -> tuple[int, list[Word]]:
@@ -272,69 +258,12 @@ def expected_max_bcount(n: int) -> tuple[int, list[Word]]:
     return fibonacci(n - 1) - 1, sorted(u for u in cand if u.startswith("a"))
 
 
-def _verify_word(
-    stat: int, n: int, mode: str, bound: int | None, walks: _Walks | None = None
-) -> ExtremalReport:
-    name, expected = _WORD_THEOREMS[stat]
-    _check_order(name, n)
-    _check_mode(mode)
-    _check_bound(n, mode, bound)
-    walks = walks or _Walks(n, bound, (stat,))
-    got_max, got_arg = walks.scan(mode, stat, n)
-    return _make_report(n, got_max, got_arg, *expected(n))
-
-
-# Indexed by statistic: the theorem's name and its closed form.
-_WORD_THEOREMS = (
-    ("max-length", expected_max_length),
-    ("max-period", expected_max_period),
-    ("max-bcount", expected_max_bcount),
-)
-
-
-def verify_max_length(n: int, mode: str = "arithmetic", bound: int | None = None) -> ExtremalReport:
-    """Scan every directive word of length n for the longest closure image."""
-    return _verify_word(0, n, mode, bound)
-
-
-def verify_max_period(n: int, mode: str = "arithmetic", bound: int | None = None) -> ExtremalReport:
-    """Scan every directive word of length n for the largest minimal period."""
-    return _verify_word(1, n, mode, bound)
-
-
-def verify_max_bcount(n: int, mode: str = "arithmetic", bound: int | None = None) -> ExtremalReport:
-    """Scan every 'a'-leading directive word of length n for the most 'b' letters."""
-    return _verify_word(2, n, mode, bound)
-
-
 def expected_continuant_max(n: int) -> tuple[int, list[IntRep]]:
     """F(n+1), attained only by the all-ones lists with and without a leading zero."""
     fams = [(0,) + (1,) * n]
     if n >= 1:
         fams.append((1,) * n)
     return fibonacci(n + 1), sorted(fams)
-
-
-def _verify_continuant(
-    stat: int, n: int, bound: int | None, walks: _Walks | None = None
-) -> ExtremalReport:
-    name, offset, expected = _CONTINUANT_THEOREMS[stat]
-    _check_order(name, n)
-    _check_bound(n, "arithmetic", bound)
-    raw_max, raw_arg = (walks or _Walks(n, bound)).scan("arithmetic", stat, n)
-    # The empty directive's exponent list is (0,).
-    argmax = sorted(to_integral(v) if v else (0,) for v in raw_arg)
-    return _make_report(n, raw_max + offset, argmax, *expected(n))
-
-
-def verify_continuant_max(n: int, bound: int | None = None) -> ExtremalReport:
-    """Maximize the head-and-tail-shifted continuant over exponent lists of weight n.
-
-    The admissible lists are exactly the block encodings of directive words
-    of length n, so the scan walks the directive tree; the continuant is the
-    image length plus 2.
-    """
-    return _verify_continuant(0, n, bound)
 
 
 def expected_period_continuant_max(n: int) -> tuple[int, list[IntRep]]:
@@ -359,17 +288,66 @@ def period_continuant_equality_lists(n: int) -> list[IntRep]:
     )
 
 
+# Each extremal theorem: the image statistic it scans, the offset from
+# that statistic to the continuant (None for a word theorem, whose argmax
+# stays directives), and its closed form.
+_EXTREMAL = {
+    "max-length": (0, None, expected_max_length),
+    "max-period": (1, None, expected_max_period),
+    "max-bcount": (2, None, expected_max_bcount),
+    "continuant-max": (0, 2, expected_continuant_max),
+    "period-continuant-max": (1, 0, expected_period_continuant_max),
+}
+
+
+def _report(
+    name: str, n: int, mode: str, bound: int | None, run: _Run | None = None
+) -> ExtremalReport:
+    """One order of extremal theorem `name` by `mode`'s route, read from the
+    run's walk (a walk of order n alone without a run)."""
+    stat, offset, expected = _EXTREMAL[name]
+    _check_order(name, n)
+    _check_route(n, mode, bound)
+    run = run or _Run(n, bound, (stat,), mode, 0)
+    got_max, got_arg = run.scan(mode, stat, n)
+    if offset is not None:
+        # The empty directive's exponent list is (0,).
+        got_max += offset
+        got_arg = sorted(to_integral(v) if v else (0,) for v in got_arg)
+    exp_max, exp_arg = expected(n)
+    got_t, exp_t = tuple(got_arg), tuple(exp_arg)
+    passed = got_max == exp_max and set(got_t) == set(exp_t)
+    return ExtremalReport(n, got_max, got_t, exp_max, exp_t, passed)
+
+
+def verify_max_length(n: int, mode: str = "arithmetic", bound: int | None = None) -> ExtremalReport:
+    """Scan every directive word of length n for the longest closure image."""
+    return _report("max-length", n, mode, bound)
+
+
+def verify_max_period(n: int, mode: str = "arithmetic", bound: int | None = None) -> ExtremalReport:
+    """Scan every directive word of length n for the largest minimal period."""
+    return _report("max-period", n, mode, bound)
+
+
+def verify_max_bcount(n: int, mode: str = "arithmetic", bound: int | None = None) -> ExtremalReport:
+    """Scan every 'a'-leading directive word of length n for the most 'b' letters."""
+    return _report("max-bcount", n, mode, bound)
+
+
+def verify_continuant_max(n: int, bound: int | None = None) -> ExtremalReport:
+    """Maximize the head-and-tail-shifted continuant over exponent lists of weight n.
+
+    The admissible lists are exactly the block encodings of directive words
+    of length n, so the scan walks the directive tree; the continuant is the
+    image length plus 2.
+    """
+    return _report("continuant-max", n, "arithmetic", bound)
+
+
 def verify_period_continuant_max(n: int, bound: int | None = None) -> ExtremalReport:
     """Maximize the drop-last-then-shift-head continuant over exponent lists of weight n."""
-    return _verify_continuant(1, n, bound)
-
-
-# Indexed by statistic: the theorem's name, the offset from the image
-# statistic to the continuant, and its closed form.
-_CONTINUANT_THEOREMS = (
-    ("continuant-max", 2, expected_continuant_max),
-    ("period-continuant-max", 0, expected_period_continuant_max),
-)
+    return _report("period-continuant-max", n, "arithmetic", bound)
 
 
 def fib_lemma_holds_at(n: int) -> bool:
@@ -396,7 +374,7 @@ def harmonic_at(n: int) -> tuple[int, int, int, bool]:
 
 def _check_census(n_max: int, bound: int | None) -> None:
     _check_order("central-count", n_max, "n_max")
-    bound = CENSUS_LENGTH_BOUND if bound is None else bound
+    bound = _route_bound("census", bound)
     if n_max > bound:
         raise BoundExceededError(f"length {n_max} exceeds the census bound {bound}")
     ensure_materializable(n_max)
@@ -426,28 +404,26 @@ def central_length_census(n_max: int, bound: int | None = None) -> dict[int, int
     return dict(enumerate(_census_counts(n_max)))
 
 
-# One row per extremal stream: (field, statistic, directive, first order).
-# From its first order on, the stream's image must attain the statistic's
-# maximum, and its directive prefix must be in the argmax.
+# One row per extremal stream: (field, word theorem, directive, first
+# order).  From its first order on, the stream's image must attain the
+# theorem's maximum, and its directive prefix must be in the argmax.
 _STREAMS = (
-    ("length", 0, DirectiveSpec.parse("|ab"), 1),
-    ("period", 1, DirectiveSpec.parse("|ba"), 1),
-    ("bcount", 2, DirectiveSpec.parse("abb|ab"), 3),
+    ("length", "max-length", DirectiveSpec.parse("|ab"), 1),
+    ("period", "max-period", DirectiveSpec.parse("|ba"), 1),
+    ("bcount", "max-bcount", DirectiveSpec.parse("abb|ab"), 3),
 )
 
 
-def _stream_check(
-    n: int, mode: str, bound: int | None, rng: random.Random, walks: _Walks
-) -> dict[str, object]:
+def _stream_check(n: int, run: _Run) -> dict[str, object]:
     """One order of the streams scoreboard; see stream_rows."""
     row: dict[str, object] = {}
-    for field, stat, spec, first in _STREAMS:
+    for field, name, spec, first in _STREAMS:
         if n < first:
             row[field], row[field + "_ok"] = None, True
             continue
-        rep, _, agree = _checked_report(stat, n, mode, bound, rng, walks)
-        prefix = spec.prefix(n)
-        if mode == "arithmetic":
+        rep, _, agree = _checked_report(name, n, run)
+        prefix, stat = spec.prefix(n), _EXTREMAL[name][0]
+        if run.mode == "arithmetic":
             row[field] = value = psi_stats_from_directive(prefix)[stat]
         else:
             row[field] = value = _statistic(psi(prefix), stat)
@@ -469,8 +445,9 @@ def stream_rows(
     `mode`, as the word theorems check them.
     """
     _check_order("streams", order_max, "order_max")
-    rows = THEOREMS["streams"].rows(range(1, order_max + 1), mode, bound, seed)
-    return [{"order": inputs["order"], **result} for inputs, result in rows]
+    orders = range(1, order_max + 1)
+    results = THEOREMS["streams"].rows(orders, mode, bound, seed)
+    return [{"order": n, **result} for n, result in zip(orders, results)]
 
 
 _SAMPLES = 64
@@ -490,22 +467,21 @@ def _sampled_agreement(n: int, stat: int, expected: tuple, rng: random.Random) -
     )
 
 
-def _checked_report(
-    stat: int, n: int, mode: str, bound: int | None, rng: random.Random, walks: _Walks
-) -> tuple[ExtremalReport, str, bool]:
-    """One order of a word theorem: (report, check, agreement).
+def _checked_report(name: str, n: int, run: _Run) -> tuple[ExtremalReport, str, bool]:
+    """One order of word theorem `name`: (report, check, agreement).
 
     A single mode runs that route alone.  "both" compares the arithmetic
-    report with the materialized one up to the materialized bound (or
-    `bound`), and above it checks the routes on sampled directives.
+    report with the materialized one up to the materialized route's bound,
+    and above it checks the routes on sampled directives.
     """
-    if mode != "both":
-        return _verify_word(stat, n, mode, bound, walks), mode, True
-    rep = _verify_word(stat, n, "arithmetic", bound, walks)
-    if n <= (MATERIALIZED_ORDER_BOUND if bound is None else bound):
-        other = _verify_word(stat, n, "materialized", bound, walks)
+    if run.mode != "both":
+        return _report(name, n, run.mode, run.bound, run), run.mode, True
+    rep = _report(name, n, "arithmetic", run.bound, run)
+    if n <= _route_bound("materialized", run.bound):
+        other = _report(name, n, "materialized", run.bound, run)
         return rep, "full", rep.maximum == other.maximum and set(rep.argmax) == set(other.argmax)
-    return rep, "sampled", _sampled_agreement(n, stat, rep.expected_argmax, rng)
+    stat = _EXTREMAL[name][0]
+    return rep, "sampled", _sampled_agreement(n, stat, rep.expected_argmax, run.rng)
 
 
 # The checks below return one order's result fields as plain values: ints,
@@ -522,33 +498,30 @@ def _report_fields(rep: ExtremalReport) -> dict[str, object]:
     }
 
 
-def _word_check(stat: int, n: int, mode: str, bound, rng, walks) -> dict[str, object]:
-    rep, check, agree = _checked_report(stat, n, mode, bound, rng, walks)
+def _word_check(name: str, n: int, run: _Run) -> dict[str, object]:
+    rep, check, agree = _checked_report(name, n, run)
     passed = rep.passed and agree
     return {**_report_fields(rep), "check": check, "agreement": agree, "passed": passed}
 
 
-def _continuant_check(stat: int, n: int, mode: str, bound, rng, walks) -> dict[str, object]:
-    rep = _verify_continuant(stat, n, bound, walks)
+def _continuant_check(name: str, n: int, run: _Run) -> dict[str, object]:
+    rep = _report(name, n, "arithmetic", run.bound, run)
     return {**_report_fields(rep), "passed": rep.passed}
 
 
-def _fib_lemma_check(n: int, mode: str, bound, rng, walks) -> dict[str, object]:
+def _fib_lemma_check(n: int, run: _Run) -> dict[str, object]:
     return {"passed": fib_lemma_holds_at(n)}
 
 
-def _harmonic_check(n: int, mode: str, bound, rng, walks) -> dict[str, object]:
+def _harmonic_check(n: int, run: _Run) -> dict[str, object]:
     period, modulus, residue, ok = harmonic_at(n)
     return {"period": period, "modulus": modulus, "residue": residue, "passed": ok}
 
 
-def _census_check(k: int, mode: str, bound, rng, walks) -> dict[str, object]:
-    _check_census(k, bound)
-    count, expected = walks.census(k), count_central(k)
+def _census_check(k: int, run: _Run) -> dict[str, object]:
+    _check_census(k, run.bound)
+    count, expected = run.census(k), count_central(k)
     return {"count": count, "expected": expected, "passed": count == expected}
-
-
-Row = tuple[dict[str, object], dict[str, object]]
 
 
 @dataclass(frozen=True)
@@ -557,48 +530,50 @@ class Theorem:
 
     It checks the orders first..n_max (n_max defaults to default_n_max) and
     accepts the --mode values in `modes`; `bounded` is False for a theorem
-    that enumerates nothing and so takes no --bound.  check(n, mode, bound,
-    rng, walks) checks one order and returns its result fields, with
-    "passed" a bool; it reads its scans from the run's walks, whose
-    materialized walk reads the statistics in `stats`.  A record's inputs
-    name its order `index` and show `route` as the mode when the theorem
-    has one fixed route.
+    that enumerates nothing and so takes no --bound.  check(n, run) checks
+    one order and returns its result fields, with "passed" a bool; it reads
+    its mode, bound, rng and scans from the run, whose materialized walk
+    reads the statistics in `stats`.  A record's inputs name its order
+    `index` and show `route` as the mode when the theorem has one fixed
+    route.
     """
 
     first: int
     default_n_max: int
     modes: tuple[str, ...]
-    check: Callable[[int, str, int | None, random.Random, _Walks], dict[str, object]]
+    check: Callable[[int, _Run], dict[str, object]]
     route: str | None = None
     bounded: bool = True
     index: str = "order"
     stats: tuple[int, ...] = ()
 
-    def rows(self, orders: range, mode: str, bound: int | None, seed: int) -> Iterator[Row]:
-        """Yield the inputs and result fields of one record per order.
+    def rows(
+        self, orders: range, mode: str, bound: int | None, seed: int
+    ) -> Iterator[dict[str, object]]:
+        """Yield the result fields of one record per order.
 
         Each walk runs once, at the first order that reads it, down to the
         last order or the route's bound, so a record appears once its walk
         is done; an order whose check raises stops the run after the
-        records of the orders before it.  Sampled checks share one seeded
-        rng.
+        records of the orders before it.  Sampled checks share the run's
+        seeded rng.
         """
-        rng = random.Random(seed)
-        walks = _Walks(orders[-1] if orders else 0, bound, self.stats)
+        run = _Run(orders[-1] if orders else 0, bound, self.stats, mode, seed)
         for n in orders:
-            result = self.check(n, mode, bound, rng, walks)
-            yield {self.index: n, "mode": self.route or mode}, result
+            yield self.check(n, run)
 
 
 _ARITHMETIC_ONLY = ("arithmetic", "both")
 
 THEOREMS: dict[str, Theorem] = {
-    "max-length": Theorem(0, 14, ANY_MODE, partial(_word_check, 0), stats=(0,)),
-    "max-period": Theorem(1, 14, ANY_MODE, partial(_word_check, 1), stats=(1,)),
-    "max-bcount": Theorem(1, 14, ANY_MODE, partial(_word_check, 2), stats=(2,)),
-    "continuant-max": Theorem(0, 20, _ARITHMETIC_ONLY, partial(_continuant_check, 0), "arithmetic"),
+    "max-length": Theorem(0, 14, ANY_MODE, partial(_word_check, "max-length"), stats=(0,)),
+    "max-period": Theorem(1, 14, ANY_MODE, partial(_word_check, "max-period"), stats=(1,)),
+    "max-bcount": Theorem(1, 14, ANY_MODE, partial(_word_check, "max-bcount"), stats=(2,)),
+    "continuant-max": Theorem(
+        0, 20, _ARITHMETIC_ONLY, partial(_continuant_check, "continuant-max"), "arithmetic"
+    ),
     "period-continuant-max": Theorem(
-        2, 20, _ARITHMETIC_ONLY, partial(_continuant_check, 1), "arithmetic"
+        2, 20, _ARITHMETIC_ONLY, partial(_continuant_check, "period-continuant-max"), "arithmetic"
     ),
     "fib-lemma": Theorem(1, 60, _ARITHMETIC_ONLY, _fib_lemma_check, "arithmetic", bounded=False),
     "harmonic": Theorem(1, 20, _ARITHMETIC_ONLY, _harmonic_check, "arithmetic", bounded=False),

@@ -18,7 +18,9 @@ _LETTERS = frozenset("ab")
 
 
 def check_word(w: str) -> str:
-    """Reject any character outside {'a', 'b'}; returns w unchanged."""
+    """Reject anything but a str over {'a', 'b'}; returns w unchanged."""
+    if not isinstance(w, str):
+        raise ValueError(f"word must be a str, got {type(w).__name__}: {w!r}")
     if not _LETTERS.issuperset(w):
         raise ValueError(f"word must use only letters 'a' and 'b': {w!r}")
     return w

@@ -197,6 +197,13 @@ def test_verify_sampled_above_materialized_bound(capsys):
     assert by_order["15"]["check"] == "sampled"
     assert by_order["15"]["agreement"] == "true"
     assert by_order["15"]["maximum"] == str(fibonacci(16) - 2)
+    # An explicit --bound is the materialized route's bound too, so order 15
+    # is then compared in full.
+    code, recs = run_json(capsys, "verify", "max-length", "--n-max", "15", "--bound", "15")
+    assert code == 0
+    assert recs[-1]["inputs"]["order"] == "15"
+    assert recs[-1]["result"]["check"] == "full"
+    assert recs[-1]["result"]["agreement"] == "true"
 
 
 def _failed_orders(recs):
@@ -222,17 +229,17 @@ def test_verify_streams_compares_routes_in_full(capsys, monkeypatch):
 
 
 def test_verify_streams_compares_the_materialized_walk_in_full(capsys, monkeypatch):
-    # The materialized twin: one depth-5 node of the string walk, scored one
-    # too high, fails order 5 and no other.
-    real = oracle._scored_images
+    # The materialized twin: one depth-5 node of the string walk, yielded
+    # under the wrong directive, fails order 5 and no other.  Only its label
+    # changes, so its image, its prefix-function entries and its order-6
+    # children stay right.
+    real = oracle._preorder
 
-    def scored(top, stats):
-        for v, size, scores in real(top, stats):
-            if v == "ababa":
-                scores = tuple(x + 1 for x in scores)
-            yield v, size, scores
+    def preorder(*args):
+        for v, w in real(*args):
+            yield ("aaaaa" if v == "ababa" else v), w
 
-    monkeypatch.setattr(oracle, "_scored_images", scored)
+    monkeypatch.setattr(oracle, "_preorder", preorder)
     for theorem in ("streams", "max-period"):
         code, recs = run_json(capsys, "verify", theorem, "--n-max", "6")
         assert code == 1
@@ -604,6 +611,27 @@ RECORD_BYTES = [
         "verify\tok\t\tcentral-count\t1\tcensus\t2\t2\ttrue\t\n"
         "verify\terror\tBoundExceededError\tcentral-count\t2\tcensus\t\t\t\t"
         "length 2 exceeds the census bound 1\n",
+    ),
+    # A TSV cell escapes backslash, tab, newline and CR, so every row stays
+    # one line with the header's cell count.
+    (
+        ("arith", "continuant", "[1,\t2]", "--format", "tsv"),
+        0,
+        "command\tstatus\terror_kind\tinputs.operation\tinputs.payload\tresult.value\n"
+        "arith\tok\t\tcontinuant\t[1,\\t2]\t3\n",
+    ),
+    (
+        ("arith", "continuant", "[1,\n2]", "--format", "tsv"),
+        0,
+        "command\tstatus\terror_kind\tinputs.operation\tinputs.payload\tresult.value\n"
+        "arith\tok\t\tcontinuant\t[1,\\n2]\t3\n",
+    ),
+    (
+        ("arith", "intrep", "a\tb\r\\", "--format", "tsv"),
+        2,
+        "command\tstatus\terror_kind\tinputs.operation\tinputs.payload\tresult.message\n"
+        "arith\terror\tValueError\tintrep\ta\\tb\\r\\\\\t"
+        "word must use only letters 'a' and 'b': 'a\\\\tb\\\\r\\\\\\\\'\n",
     ),
 ]
 

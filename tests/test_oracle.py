@@ -48,7 +48,7 @@ def all_orders_pass(name, n_max, mode="both"):
     """Every registry row of theorem `name` from its first order to n_max passes."""
     orders = range(THEOREMS[name].first, n_max + 1)
     rows = THEOREMS[name].rows(orders, mode, None, 0)
-    return all(result["passed"] is True for _, result in rows)
+    return all(result["passed"] is True for result in rows)
 
 
 def test_directive_images_match_psi(psi12):

@@ -11,12 +11,14 @@ from sturmian import (
     RATIONAL_INF,
     continuant,
     count_letter,
+    exchange_E,
     fibonacci,
     fine_wilf_collapse,
     has_period,
     is_lyndon,
     is_palindrome,
     minimal_period,
+    psi,
     reverse,
     slope_eta,
 )
@@ -37,11 +39,20 @@ def test_reverse_is_an_involution():
 
 
 def test_rejects_foreign_letters():
-    for bad in ("abc", "A", "a b", "ab\n"):
+    for bad in ("abc", "A", "a b", "ab\n", ["a", "b"], ("a",)):
         with pytest.raises(ValueError):
             reverse(bad)
         with pytest.raises(ValueError):
             minimal_period(bad)
+
+
+@pytest.mark.parametrize("bad", [["a", "b"], ("a",)])
+def test_refuses_words_that_are_not_str(bad):
+    # Words are plain str: a sequence of letters gets the documented
+    # ValueError, not an answer or a TypeError from deep inside a builder.
+    for fn in (is_palindrome, psi, exchange_E):
+        with pytest.raises(ValueError, match="word must be a str"):
+            fn(bad)
 
 
 def test_is_palindrome():
