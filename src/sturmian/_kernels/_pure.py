@@ -17,19 +17,12 @@ _BLOCK = 1 << 11
 _AB = str.maketrans("01", "ab")
 
 
-def borders(s: str, fail: list[int] | None = None) -> list[int]:
-    """Prefix function of a non-empty s: entry i is the longest proper border of s[:i+1].
-
-    If `fail` is given, it must hold the prefix function of a prefix of s
-    (possibly empty); it is extended in place over the rest of s and returned.
-    """
-    if fail is None:
-        fail = []
-    if not fail:
-        fail.append(0)
-    k = fail[-1]
+def borders(s: str) -> list[int]:
+    """Prefix function of a non-empty s: entry i is the longest proper border of s[:i+1]."""
+    fail = [0]
+    k = 0
     append = fail.append
-    for c in s[len(fail) :]:
+    for c in s[1:]:
         if s[k] == c:
             k += 1
         else:

@@ -17,6 +17,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
+from operator import add
 from typing import Callable, Iterator
 
 from . import _kernels
@@ -112,54 +114,131 @@ def _statistic(w: Word, stat: int) -> int:
     return w.count("b")
 
 
+# The longest level list a block of the materialized walk holds before it
+# is split into its 'a' and 'b' halves.
+_LEVEL = 1 << 6
+_LETTERS = str.maketrans("01", "ab")
+
+
+def _image_period(w: Word, u: Word) -> int:
+    """Minimal period of w, read faster when u is a proper border of w (as
+    the parent's image is of a closure image).
+
+    If it is, any longer border of w starts where w[:|u|+1] occurs, so the
+    first such occurrence p that starts a border gives the period p, and
+    if none does, u is the longest border.  If u is not a proper border,
+    the prefix function reads the period.
+    """
+    n, k = len(w), len(u)
+    if not (k < n and w.startswith(u) and w.endswith(u)):
+        return _kernels.min_period(w)
+    head = w[: k + 1]
+    p = w.find(head, 1)
+    while p != -1:
+        if w.startswith(w[p:]):
+            return p
+        p = w.find(head, p + 1)
+    return n - k
+
+
+def _interleave(evens, odds, size: int) -> list:
+    out: list = [None] * size
+    out[0::2] = evens
+    out[1::2] = odds
+    return out
+
+
+def _push_halves(stack: list, prefix: str, depth: int, lists) -> None:
+    """Push the 'b' half of a level, then its 'a' half, so the 'a' half is
+    popped first and each depth's argmax comes out sorted."""
+    half = len(lists[0]) // 2
+    stack.append((prefix + "b", depth, *(c[half:] for c in lists)))
+    stack.append((prefix + "a", depth, *(c[:half] for c in lists)))
+
+
 def _materialized_orders(
     top: int, stats: tuple[int, ...]
 ) -> tuple[dict[int, list[tuple[int, list[Word]]]], tuple[int, int] | None]:
     """(table, over): the maximum and sorted argmax of each statistic in
     `stats` (numbered as in _statistic) over the psi images at every order
-    0..top, from one walk of _preorder; the b-count ranges over 'a'-leading
-    directives only, and a walk of the b-count alone visits only those.
+    0..top, from one walk of the directive tree; the b-count ranges over
+    'a'-leading directives only, and a walk of the b-count alone visits
+    only those.
 
     table[stat][k] is (maximum, argmax) at order k.  over is None, or
     (k, length) for the first order k with an image over the
     materialization cap and the length of its lexicographically first such
     image; such an image is not expanded, and the entries from order k on
-    are then incomplete.  The periods share one prefix-function list:
-    psi(parent) is a prefix of psi(v), and every node visited since the
-    parent extends psi(parent), so the list is cut back to |psi(parent)|
-    and extended over the new letters.
+    are then incomplete.
+
+    The walk builds a whole level of images at a time by Justin's step: a
+    node with image w and morphism pair (ma, mb) has the 'a' child ma + w
+    with pair (ma, ma + mb) and the 'b' child mb + w with pair
+    (mb + ma, mb).  A level lists its nodes in lexicographic order, so a
+    node's index spells its letters below the block's prefix.  A level
+    longer than _LEVEL is split into its 'a' and 'b' halves, which wait on
+    a stack, and a level holding an image over the cap is halved down to
+    that image.  Each period is read by _image_period against the parent's
+    image.
     """
     limit = max_word_len()
-    periods = 1 in stats
-    fail: list[int] = []
-    image_len = [0] * (top + 1)
+    a_only, periods = stats == (2,), 1 in stats
     best = {stat: [-1] * (top + 1) for stat in stats}
     arg: dict[int, list[list[Word]]] = {stat: [[] for _ in range(top + 1)] for stat in stats}
     over = None
-    for v, w in _preorder(top, stats == (2,), limit):
-        depth, size = len(v), len(w)
-        if size > limit:
-            if over is None or depth < over[0]:
-                over = (depth, size)
+    # A block is (prefix, depth, images, mu(a) list, mu(b) list, parent
+    # images): the level at `depth` of the subtree below `prefix`.  The mu
+    # lists are empty at the last level, which has no children, and the
+    # parent list is empty when no period is read.  The root is its own
+    # parent, so its period reads as min_period("") = 1.
+    stack = [("", 0, [""], ["a"], ["b"], [""])]
+    while stack:
+        prefix, depth, images, mas, mbs, parents = stack.pop()
+        sizes = list(map(len, images))
+        if max(sizes) > limit:
+            if len(images) > 1:
+                _push_halves(stack, prefix, depth, (images, mas, mbs, parents))
+            elif over is None or depth < over[0]:
+                over = (depth, sizes[0])
             continue
-        image_len[depth] = size
-        if periods and depth:
-            del fail[image_len[depth - 1] :]
-            _kernels.borders(w, fail)
+        lead = len(images)
         for stat in stats:
             if stat == 0:
-                val = size
+                vals = sizes
             elif stat == 1:
-                val = size - fail[-1] if depth else 1
-            elif v[:1] == "b":
+                vals = list(map(_image_period, images, parents))
+            elif prefix[:1] == "b":
                 continue
             else:
-                val = w.count("b")
-            if val > best[stat][depth]:
-                best[stat][depth] = val
-                arg[stat][depth] = [v]
-            elif val == best[stat][depth]:
-                arg[stat][depth].append(v)
+                # Below the root, an unsplit level's second half leads with 'b'.
+                counted = images if prefix else images[: lead // 2 or 1]
+                vals = list(map(str.count, counted, repeat("b")))
+            high = max(vals)
+            if high < best[stat][depth]:
+                continue
+            if high > best[stat][depth]:
+                best[stat][depth] = high
+                arg[stat][depth] = []
+            # Index i reads as its bits below a leading 1: 0 -> 'a', 1 -> 'b'.
+            i = -1
+            for _ in range(vals.count(high)):
+                i = vals.index(high, i + 1)
+                arg[stat][depth].append(prefix + format(lead + i, "b")[1:].translate(_LETTERS))
+        if depth == top:
+            continue
+        size = 2 * lead
+        level = (
+            _interleave(map(add, mas, images), map(add, mbs, images), size),
+            _interleave(mas, map(add, mbs, mas), size) if depth + 1 < top else [],
+            _interleave(map(add, mas, mbs), mbs, size) if depth + 1 < top else [],
+            _interleave(images, images, size) if periods else [],
+        )
+        if a_only and not depth:
+            stack.append(("a", 1, *(c[:1] for c in level)))
+        elif size > _LEVEL:
+            _push_halves(stack, prefix, depth + 1, level)
+        else:
+            stack.append((prefix, depth + 1, *level))
     return {stat: list(zip(best[stat], arg[stat])) for stat in stats}, over
 
 
@@ -350,14 +429,24 @@ def verify_period_continuant_max(n: int, bound: int | None = None) -> ExtremalRe
     return _report("period-continuant-max", n, "arithmetic", bound)
 
 
+def _fib_row_ok(x: int, lhs: int, rhs: int) -> bool:
+    """One row of the Fibonacci lemma: lhs <= rhs, with equality exactly at x = 1."""
+    return lhs <= rhs and (lhs == rhs) == (x == 1)
+
+
 def fib_lemma_holds_at(n: int) -> bool:
-    """x*F(n-x) + F(n-x+1) <= F(n+1) for 1 <= x <= n, with equality only at x = 1."""
+    """x*F(n-x) + F(n-x+1) <= F(n+1) for 1 <= x <= n, with equality only at x = 1.
+
+    x runs from n down to 1, carrying (F(n-x), F(n-x+1)), so the check is
+    linear in n.
+    """
     _check_order("fib-lemma", n)
     rhs = fibonacci(n + 1)
-    for x in range(1, n + 1):
-        lhs = x * fibonacci(n - x) + fibonacci(n - x + 1)
-        if lhs > rhs or (lhs == rhs) != (x == 1):
+    f, g = fibonacci(0), fibonacci(1)
+    for x in range(n, 0, -1):
+        if not _fib_row_ok(x, x * f + g, rhs):
             return False
+        f, g = g, f + g
     return True
 
 

@@ -229,17 +229,17 @@ def test_verify_streams_compares_routes_in_full(capsys, monkeypatch):
 
 
 def test_verify_streams_compares_the_materialized_walk_in_full(capsys, monkeypatch):
-    # The materialized twin: one depth-5 node of the string walk, yielded
-    # under the wrong directive, fails order 5 and no other.  Only its label
-    # changes, so its image, its prefix-function entries and its order-6
-    # children stay right.
-    real = oracle._preorder
+    # The materialized twin: the string walk reads the period of one depth-5
+    # image, psi("ababa"), one too high, which fails order 5 and no other.
+    # Only the period changes, so the image and its order-6 children stay
+    # right.
+    real = oracle._image_period
+    target = psi("ababa")
 
-    def preorder(*args):
-        for v, w in real(*args):
-            yield ("aaaaa" if v == "ababa" else v), w
+    def image_period(w, u):
+        return real(w, u) + (w == target)
 
-    monkeypatch.setattr(oracle, "_preorder", preorder)
+    monkeypatch.setattr(oracle, "_image_period", image_period)
     for theorem in ("streams", "max-period"):
         code, recs = run_json(capsys, "verify", theorem, "--n-max", "6")
         assert code == 1
@@ -263,6 +263,22 @@ def test_verify_streams_compares_routes_on_samples(capsys, monkeypatch):
         assert code == 1
         assert _failed_orders(recs) == ["6"]
 
+
+def test_verify_sampled_check_reads_random_directives(capsys, monkeypatch):
+    # Above the materialized bound, the sampled check must measure random
+    # directives, not only the expected argmax: a continuant route that
+    # miscounts every other image length fails order 15 and no other.
+    real = oracle.psi_stats_from_directive
+    extremal = set(oracle.expected_max_length(15)[1])
+
+    def stats(v):
+        length, period, bcount = real(v)
+        return length + (v not in extremal), period, bcount
+
+    monkeypatch.setattr(oracle, "psi_stats_from_directive", stats)
+    code, recs = run_json(capsys, "verify", "max-length", "--n-max", "15")
+    assert code == 1
+    assert _failed_orders(recs) == ["15"]
 
 
 @pytest.mark.parametrize("mode", ["both", "materialized"])

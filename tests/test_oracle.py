@@ -1,6 +1,7 @@
 """Extremal verifiers against frozen tables, closed forms, and brute force."""
 import functools
 import random
+import tracemalloc
 
 import pytest
 
@@ -34,8 +35,8 @@ from sturmian import (
     verify_period_continuant_max,
 )
 from sturmian.arithmetic import _length_terms, continuant
-from sturmian import config
-from sturmian.oracle import THEOREMS, _materialized_orders
+from sturmian import config, oracle
+from sturmian.oracle import THEOREMS, _fib_row_ok, _image_period, _materialized_orders
 
 MAX_LENGTH_TABLE = {n: v for n, v in enumerate([0, 1, 3, 6, 11, 19, 32, 53, 87])}
 MAX_PERIOD_TABLE = {n + 1: v for n, v in enumerate([1, 2, 3, 5, 8, 13, 21, 34])}
@@ -117,6 +118,43 @@ def test_materialized_walk_stops_at_the_first_order_over_the_cap(psi12, monkeypa
     assert got == (k, length)
     for stat in stats:
         assert table[stat][:k] == _brute_orders(psi12, stat, k - 1)
+
+
+@pytest.mark.parametrize("level", [2, 4])
+def test_materialized_walk_splits_small_levels(psi12, monkeypatch, level):
+    # Levels split from depth 1 or 2 on: halves, prefixes and the 'a'-leading
+    # half of the unsplit levels still give every order exactly.
+    monkeypatch.setattr(oracle, "_LEVEL", level)
+    for stats in [(0, 1, 2), (2,)]:
+        table, over = _materialized_orders(10, stats)
+        assert over is None
+        for stat in stats:
+            assert table[stat] == _brute_orders(psi12, stat, 10)
+
+
+def test_image_period_matches_the_naive_period():
+    # Against every proper prefix and suffix of w (a border or not), w itself
+    # and the empty word: the border search, its fallback and the guard
+    # against u = w.
+    for w in naive.words_upto(10):
+        if not w:
+            continue
+        want = naive.min_period_naive(w)
+        candidates = {w, ""} | {w[:k] for k in range(len(w))} | {w[k:] for k in range(1, len(w))}
+        for u in candidates:
+            assert _image_period(w, u) == want, (w, u)
+
+
+def test_materialized_walk_memory_is_bounded():
+    """Order 14 for all three statistics in well under the 2^14-image level a
+    whole-level walk would hold."""
+    tracemalloc.start()
+    try:
+        _materialized_orders(14, (0, 1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_max_length_frozen():
@@ -285,6 +323,13 @@ def test_fib_lemma():
     assert fib_lemma_holds_at(1)
     with pytest.raises(ValueError):
         fib_lemma_holds_at(0)
+
+
+def test_fib_row_ok_needs_equality_exactly_at_x_1():
+    assert _fib_row_ok(1, 5, 5)
+    assert not _fib_row_ok(1, 4, 5)
+    assert not _fib_row_ok(2, 5, 5)
+    assert not _fib_row_ok(2, 6, 5)
 
 
 def test_harmonic():
