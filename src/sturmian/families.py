@@ -128,9 +128,17 @@ def standard_decompose(w: Word) -> tuple[Word, str, str]:
 def christoffel(p: int, q: int) -> Word:
     """Christoffel word with p letters 'b' and q letters 'a' (coprime, not both zero).
 
+    Built by Euclid's algorithm down the Christoffel tree (Berstel, Lauve,
+    Reutenauer and Saliola 2008): (A, B) are the images of 'a' and 'b' under
+    the morphisms composed so far. While q > p, k = (q - 1) // p steps of
+    b -> ab take (p, q) to (p, q - k*p) and B to A^k B; while p > q, k steps
+    of a -> ab take it to (p - k*q, q) and A to A B^k. At (1, 1) the word is
+    A + B. That is O(log(p + q)) string repeats and joins, no per-letter loop.
+
     >>> christoffel(5, 12)
     'aaabaabaaabaabaab'
     """
+    check_ints((p, q))
     if p < 0 or q < 0 or p + q == 0:
         raise ValueError("need non-negative p, q, not both zero")
     if gcd(p, q) != 1:
@@ -139,15 +147,18 @@ def christoffel(p: int, q: int) -> Word:
         return "a"
     if q == 0:
         return "b"
-    n = p + q
-    ensure_materializable(n)
-    out = []
-    prev = 0
-    for i in range(1, n + 1):
-        cur = i * p % n
-        out.append("a" if cur > prev else "b")
-        prev = cur
-    return "".join(out)
+    ensure_materializable(p + q)
+    a, b = "a", "b"
+    while p != q:
+        if q > p:
+            k = (q - 1) // p
+            q -= k * p
+            b = a * k + b
+        else:
+            k = (p - 1) // q
+            p -= k * q
+            a = a + b * k
+    return a + b
 
 
 def is_christoffel(w: Word) -> bool:

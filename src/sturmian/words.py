@@ -14,14 +14,16 @@ Word = str
 
 ALPHABET = ("a", "b")
 
-_LETTERS = frozenset("ab")
-
 
 def check_word(w: str) -> str:
-    """Reject anything but a str over {'a', 'b'}; returns w unchanged."""
+    """Reject anything but a str over {'a', 'b'}; returns w unchanged.
+
+    The letters are tested by two C-level counts, so a long word costs no
+    Python work per letter.
+    """
     if not isinstance(w, str):
         raise ValueError(f"word must be a str, got {type(w).__name__}: {w!r}")
-    if not _LETTERS.issuperset(w):
+    if w.count("a") + w.count("b") != len(w):
         raise ValueError(f"word must use only letters 'a' and 'b': {w!r}")
     return w
 

@@ -54,6 +54,26 @@ def mu_naive(v, target):
     return target
 
 
+def christoffel_naive(p, q):
+    """Christoffel word with p letters 'b' and q letters 'a', by the letter rule.
+
+    With n = p + q, letter i (1 <= i <= n) is 'a' when i*p mod n rose from
+    (i - 1)*p mod n and 'b' when it fell.
+    """
+    if p == 0:
+        return "a"
+    if q == 0:
+        return "b"
+    n = p + q
+    out = []
+    prev = 0
+    for i in range(1, n + 1):
+        cur = i * p % n
+        out.append("a" if cur > prev else "b")
+        prev = cur
+    return "".join(out)
+
+
 def is_lyndon_naive(w):
     """Primitive and minimal among its rotations."""
     if not w:

@@ -198,6 +198,36 @@ def test_christoffel_rejections():
         christoffel(-1, 3)
 
 
+@pytest.mark.parametrize("p, q", [(True, 1), (1, True), (1.5, 2), (2, 3.0), ("2", 3)])
+def test_christoffel_refuses_non_integer_arguments(p, q):
+    # A bool is not read as 0 or 1, and a float gets the documented
+    # ValueError rather than a TypeError from gcd.
+    with pytest.raises(ValueError, match="must be integers"):
+        christoffel(p, q)
+
+
+def test_christoffel_matches_letter_rule():
+    for p, q in _coprime_pairs(300, lo=0):
+        assert christoffel(p, q) == naive.christoffel_naive(p, q)
+
+
+# Pairs of consecutive golden-ratio convergents, so Euclid's algorithm takes
+# the longest route down the Christoffel tree, at p+q = 4,001, 20,001 and
+# 1,000,001.
+LONG_PAIRS = [(1529, 2472), (7639, 12362), (381966, 618035)]
+
+
+@pytest.mark.parametrize("p, q", LONG_PAIRS + [(q, p) for p, q in LONG_PAIRS])
+def test_long_christoffel_words_match_letter_rule(p, q):
+    w = christoffel(p, q)
+    assert w == naive.christoffel_naive(p, q)
+    n = p + q
+    fac = christoffel_factorize(w)
+    assert fac.w1 + fac.w2 == w
+    assert len(fac.w1) == pow(p, -1, n) == fac.p_inv
+    assert len(fac.w2) == pow(q, -1, n) == fac.q_inv
+
+
 def test_christoffel_slope_and_counts():
     for p, q in _coprime_pairs(100):
         w = christoffel(p, q)

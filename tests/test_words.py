@@ -9,6 +9,7 @@ import naive
 from sturmian import (
     Rational,
     RATIONAL_INF,
+    check_word,
     continuant,
     count_letter,
     exchange_E,
@@ -53,6 +54,27 @@ def test_refuses_words_that_are_not_str(bad):
     for fn in (is_palindrome, psi, exchange_E):
         with pytest.raises(ValueError, match="word must be a str"):
             fn(bad)
+
+
+# Look-alikes of the two letters: capital A, Cyrillic a, fullwidth a, NUL
+# and newline.
+@given(st.text(alphabet="abAаａ\x00\n", max_size=30))
+def test_check_word_accepts_exactly_words_over_ab(w):
+    if set(w) <= {"a", "b"}:
+        assert check_word(w) is w
+    else:
+        with pytest.raises(ValueError) as err:
+            check_word(w)
+        assert str(err.value) == f"word must use only letters 'a' and 'b': {w!r}"
+
+
+def test_check_word_refuses_a_long_word_bad_only_at_its_end():
+    w = "ab" * 50_000
+    assert check_word(w) is w
+    bad = w[:-1] + "c"
+    with pytest.raises(ValueError) as err:
+        check_word(bad)
+    assert str(err.value) == f"word must use only letters 'a' and 'b': {bad!r}"
 
 
 def test_is_palindrome():
